@@ -301,7 +301,7 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
 
     t, fill_set = min_fill_number(hypergraph)
     results["fill_bound"] = MethodResult(
-        "fill_bound", True, fill_upper_bound(hypergraph),
+        "fill_bound", True, hypergraph.label_count - hypergraph.num_vertices + t,
         {"t": t, "fill_set": sorted(fill_set)})
 
     if has_isolated_simple_edges(hypergraph):
@@ -311,21 +311,20 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     else:
         results["simple_edge_formula"] = MethodResult("simple_edge_formula", False)
 
+    match = None
     if dimension(hypergraph) == 1:
-        match = matching_lower_bound(hypergraph)
-        if match is not None:
-            value, witness = match
-            results["matching_lower"] = MethodResult(
-                "matching_lower", True, value, {"closed_vertices": sorted(witness)})
-            exact = value if has_isolated_open_vertices(hypergraph) else None
-            if exact is not None:
-                results["matching_formula"] = MethodResult(
-                    "matching_formula", True, exact,
-                    {"closed_vertices": sorted(witness)})
-            else:
-                results["matching_formula"] = MethodResult("matching_formula", False)
+        try:
+            match = matching_lower_bound(hypergraph)
+        except CapExceededError:
+            pass
+    if match is not None:
+        value, witness = match
+        results["matching_lower"] = MethodResult(
+            "matching_lower", True, value, {"closed_vertices": sorted(witness)})
+        if has_isolated_open_vertices(hypergraph):
+            results["matching_formula"] = MethodResult(
+                "matching_formula", True, value, {"closed_vertices": sorted(witness)})
         else:
-            results["matching_lower"] = MethodResult("matching_lower", False)
             results["matching_formula"] = MethodResult("matching_formula", False)
     else:
         results["matching_lower"] = MethodResult("matching_lower", False)

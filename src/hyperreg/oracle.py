@@ -9,18 +9,21 @@ Two independent routes compute the same table for R/I:
   multidegree, reducing differential entries to scalars, and takes homology
   of the resulting strands.
 
-Homology ranks are computed by exact Gaussian elimination over GF(p)
-(bit-mask rows when p = 2).  Large divisibility complexes are first shrunk
-by repeatedly deleting dominated vertices (a strong collapse, which
-preserves homotopy type and hence all homology ranks); the raw
-no-collapse path is kept and cross-checked by the test suite.
+Both routes build their boundary rows the same way and share one exact
+rank kernel: bit-mask rows when p = 2, sparse ``{column: residue}`` rows
+otherwise, since a boundary row has at most |b| nonzero entries, all of
+them +1 or -1.  Large divisibility complexes are first shrunk by
+repeatedly deleting dominated vertices (a strong collapse, which preserves
+homotopy type and hence all homology ranks); the raw no-collapse path is
+kept and cross-checked by the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, _support_key
 
@@ -65,34 +68,63 @@ GF3 = FieldSpec(3)
 
 def _rank_gf2(rows: list[int]) -> int:
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
             lead = row.bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = row
-                rank += 1
                 break
             row ^= piv
-    return rank
+    return len(pivots)
 
 
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    pivots: list[tuple[int, list[int]]] = []
-    rank = 0
+def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of rows given as ``{column: nonzero residue}``.
+
+    Pivots on the highest column of each row, as :func:`_rank_gf2` does;
+    each pivot row is stored scaled to a leading 1.  The rows are reduced
+    in place.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = row[:]
-        for col, prow in pivots:
-            f = row[col]
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, p)
-            pivots.append((lead, [(a * inv) % p for a in row]))
-            rank += 1
-    return rank
+        while row:
+            lead = max(row)
+            f = row[lead]
+            piv = pivots.get(lead)
+            if piv is None:
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    row = {c: a * inv % p for c, a in row.items()}
+                pivots[lead] = row
+                break
+            for c, a in piv.items():
+                # f * a is nonzero, so a column missing from row never cancels
+                x = (row.get(c, 0) - f * a) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def _boundary_rank(rows: list[tuple[int, int]], p: int) -> int:
+    """Rank over GF(p) of a matrix whose nonzero entries are all +1 or -1.
+
+    A row is a pair of column masks: its support, and the subset of the
+    support holding -1.
+    """
+    if p == 2:
+        return _rank_gf2([support for support, _ in rows])
+    sparse = []
+    for support, negative in rows:
+        row = {}
+        while support:
+            low = support & -support
+            support ^= low
+            row[low.bit_length() - 1] = p - 1 if negative & low else 1
+        sparse.append(row)
+    return _rank_sparse(sparse, p)
 
 
 # ---------------------------------------------------------------------------
@@ -229,40 +261,36 @@ def _faces_of_facets(facets: list[int]) -> dict[int, list[int]]:
     return {d: sorted(layer) for d, layer in sorted(grouped.items())}
 
 
-def _chain_ranks(faces_by_dim: Mapping[int, list[int]], p: int) -> dict[int, int]:
-    """Reduced homology ranks of a downward-closed mask complex over GF(p)."""
-    dims = sorted(faces_by_dim)
-    if not dims:
-        return {}
-    index = {d: {m: i for i, m in enumerate(faces_by_dim[d])} for d in dims}
+def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
+    """Homology ranks over GF(p) of the chain complex with basis ``layers[d]``.
+
+    The differential sends a mask to the alternating sum of the masks one
+    bit smaller, keeping those present in ``layers[d - 1]``.  On the faces of
+    a downward-closed complex, keyed by dimension, this is the reduced
+    simplicial chain complex; on a Taylor strand, keyed by subset size, it
+    is the strand's differential.
+    """
     boundary_rank: dict[int, int] = {}
-    for d in dims:
-        if d < 0:
+    for d, layer in layers.items():
+        column = {m: 1 << k for k, m in enumerate(layers.get(d - 1, ()))}
+        if not column:
             continue
-        below = index.get(d - 1)
-        if not below:
-            boundary_rank[d] = 0
-            continue
-        if p == 2:
-            rows2 = []
-            for m in faces_by_dim[d]:
-                row = 0
-                for b in _bits(m):
-                    row |= 1 << below[m ^ (1 << b)]
-                rows2.append(row)
-            boundary_rank[d] = _rank_gf2(rows2)
-        else:
-            ncols = len(below)
-            rows = []
-            for m in faces_by_dim[d]:
-                row = [0] * ncols
-                for k, b in enumerate(_bits(m)):
-                    row[below[m ^ (1 << b)]] = 1 if k % 2 == 0 else p - 1
-                rows.append(row)
-            boundary_rank[d] = _rank_gfp(rows, p)
+        rows = []
+        for m in layer:
+            support = negative = sign = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                bit = column.get(m ^ low, 0)
+                support |= bit
+                negative |= bit & sign  # sign flips between 0 and ~0
+                sign = ~sign
+            rows.append((support, negative))
+        boundary_rank[d] = _boundary_rank(rows, p)
     ranks: dict[int, int] = {}
-    for d in dims:
-        r = len(faces_by_dim[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+    for d in sorted(layers):
+        r = len(layers[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
         if r:
             ranks[d] = r
     return ranks
@@ -299,28 +327,30 @@ def reduced_homology_ranks(
     else:
         if complex_.num_faces > MAX_COMPLEX_FACES:
             raise CapExceededError(f"complex has more than {MAX_COMPLEX_FACES} faces")
-        hom = _chain_ranks(
-            {d: list(layer) for d, layer in complex_.faces_by_dim.items()},
-            field.characteristic)
+        hom = _chain_ranks(complex_.faces_by_dim, field.characteristic)
     return [hom.get(d, 0) for d in range(-1, top + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Betti tables
 
+@dataclass(frozen=True)
 class BettiTable:
     """Multigraded Betti numbers of R/I over GF(p).
 
     ``entries`` maps (homological index i, square-free multidegree mask) to
     a positive rank; regularity and projective dimension are read off it.
+    The table and its entries are read-only, so a table cached by
+    :func:`betti_table` stays intact.
     """
 
-    def __init__(self, field_spec: FieldSpec, alphabet: Alphabet,
-                 entries: Mapping[tuple[int, int], int]):
-        self.field = field_spec
-        self.alphabet = alphabet
-        self.entries = dict(sorted(
-            entries.items(), key=lambda kv: (kv[0][0], _support_key(kv[0][1]))))
+    field: FieldSpec
+    alphabet: Alphabet
+    entries: Mapping[tuple[int, int], int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(
+            self.entries.items(), key=lambda kv: (kv[0][0], _support_key(kv[0][1]))))))
 
     @property
     def regularity(self) -> int:
@@ -337,12 +367,6 @@ class BettiTable:
             key = (i, mask.bit_count())
             out[key] = out.get(key, 0) + rank
         return out
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BettiTable)
-                and self.field == other.field
-                and self.alphabet == other.alphabet
-                and self.entries == other.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -542,10 +566,10 @@ def taylor_strand_betti(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> Be
     """Betti table from the multidegree strands of the Taylor complex.
 
     At each multidegree b the strand has one basis element per generator
-    subset with lcm equal to b; a differential entry survives (as 1)
-    exactly when dropping the generator keeps the lcm, and homology of the
-    strand gives the Betti numbers at b.  Independent of
-    :func:`betti_table`, which it must match entry for entry.
+    subset with lcm equal to b; a differential entry survives (as +1 or
+    -1) exactly when dropping the generator keeps the lcm, and homology of
+    the strand gives the Betti numbers at b.  It shares only the rank
+    kernel with :func:`betti_table`, which it must match entry for entry.
     """
     mu = ideal.num_generators
     if mu > MAX_TAYLOR_GENERATORS:
@@ -555,41 +579,8 @@ def taylor_strand_betti(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> Be
     strands: dict[int, dict[int, list[int]]] = {}
     for s in range(1 << mu):
         strands.setdefault(lcms[s], {}).setdefault(s.bit_count(), []).append(s)
-    entries: dict[tuple[int, int], int] = {}
-    for b in sorted(strands, key=_support_key):
-        layers = strands[b]
-        index = {i: {s: k for k, s in enumerate(sorted(layer))}
-                 for i, layer in layers.items()}
-        boundary_rank: dict[int, int] = {}
-        for i, layer in sorted(layers.items()):
-            below = index.get(i - 1)
-            if not below:
-                boundary_rank[i] = 0
-                continue
-            if p == 2:
-                rows2 = []
-                for s in sorted(layer):
-                    row = 0
-                    for b_pos in _bits(s):
-                        smaller = s ^ (1 << b_pos)
-                        if lcms[smaller] == b:
-                            row |= 1 << below[smaller]
-                    rows2.append(row)
-                boundary_rank[i] = _rank_gf2(rows2)
-            else:
-                rows = []
-                for s in sorted(layer):
-                    row = [0] * len(below)
-                    for k, b_pos in enumerate(_bits(s), start=1):
-                        smaller = s ^ (1 << b_pos)
-                        if lcms[smaller] == b:
-                            row[below[smaller]] = p - 1 if k % 2 else 1
-                    rows.append(row)
-                boundary_rank[i] = _rank_gfp(rows, p)
-        for i, layer in sorted(layers.items()):
-            rank = len(layer) - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
-            if rank:
-                entries[(i, b)] = rank
+    entries = {(i, b): rank for b, layers in strands.items()
+               for i, rank in _chain_ranks(layers, p).items()}
     return BettiTable(field_spec, ideal.alphabet, entries)
 
 

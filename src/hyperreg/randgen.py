@@ -15,11 +15,12 @@ from .monomials import Alphabet, MonomialIdeal, _support_key
 
 
 def variable_names(count: int) -> tuple[str, ...]:
-    """Single letters a..z, then v00, v01, ... beyond 26 variables."""
+    """Single letters a..z, then z00, z01, ... of one width, sorting after z."""
     if count <= 26:
         return tuple(string.ascii_lowercase[:count])
+    width = max(2, len(str(count - 27)))
     return tuple(string.ascii_lowercase) + tuple(
-        f"v{k:02d}" for k in range(count - 26))
+        f"z{k:0{width}d}" for k in range(count - 26))
 
 
 def max_antichain(num_vars: int) -> int:

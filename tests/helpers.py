@@ -17,3 +17,19 @@ def brute_force_dual(ideal: MonomialIdeal) -> MonomialIdeal:
     minimal = [m for m in transversals
                if not any(t != m and t & ~m == 0 for t in transversals)]
     return MonomialIdeal(ideal.alphabet, tuple(sorted(minimal, key=_support_key)))
+
+
+def dense_rank(rows: list[list[int]], p: int) -> int:
+    """Independent rank oracle: dense Gaussian elimination over GF(p)."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = [a % p for a in row]
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            pivots.append((lead, [(a * inv) % p for a in row]))
+    return len(pivots)

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import word_ideal
+from hyperreg import bounds
 from hyperreg.bounds import (
     ALL_METHODS,
     best_bounds,
@@ -18,6 +19,7 @@ from hyperreg.bounds import (
     taylor_regularity_bound,
 )
 from hyperreg.hypergraph import build_hypergraph, neighbors, open_vertices
+from hyperreg.monomials import parse_ideal
 from hyperreg.oracle import GF2, CapExceededError, regularity
 from hyperreg.randgen import max_antichain, random_ideal
 
@@ -235,6 +237,28 @@ class TestBestBounds:
             report = best_bounds(random_ideal(rng, 7, rng.randint(2, 5)))
             if report.best_lower is not None:
                 assert report.best_upper[1] >= report.best_lower[1]
+
+    def test_matching_cap_marks_methods_inapplicable(self):
+        # 22 closed singleton vertices exceed the matching candidate cap
+        ideal = parse_ideal("\n".join(
+            [f"x{i} y{i - 1} y{i}" for i in range(1, 23)] + ["y0 y22"]))
+        report = best_bounds(ideal)
+        assert report.dim == 1
+        assert not report.result("matching_lower").applicable
+        assert not report.result("matching_formula").applicable
+        assert report.best_upper == ("isolated_open_bound", 22)
+
+    def test_fill_number_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(hypergraph):
+            calls.append(hypergraph)
+            return min_fill_number(hypergraph)
+
+        monkeypatch.setattr(bounds, "min_fill_number", counted)
+        report = best_bounds(word_ideal("di ade bij fgij efg jh ch"))
+        assert len(calls) == 1
+        assert report.result("fill_bound").value == 4
 
     def test_json_schema(self):
         ideal = word_ideal("di ade bij fgij efg jh ch")

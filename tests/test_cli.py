@@ -4,6 +4,8 @@ import pytest
 
 from hyperreg import cli
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
+from hyperreg.monomials import Alphabet
+from hyperreg.randgen import variable_names
 
 
 @pytest.fixture
@@ -75,6 +77,15 @@ class TestAnalyze:
         assert "fill_bound" in captured.out
         assert "reg=" not in captured.out
 
+    def test_matching_cap_no_oracle(self, capsys, tmp_path):
+        path = tmp_path / "onedim.ideal"
+        path.write_text("\n".join(
+            [f"x{i} y{i - 1} y{i}" for i in range(1, 23)] + ["y0 y22"]) + "\n")
+        assert cli.main(["analyze", str(path), "--no-oracle"]) == 0
+        captured = capsys.readouterr()
+        assert "matching_lower: not applicable" in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestVerifyPaper:
     def test_passes_with_one_flagged_discrepancy(self, capsys):
@@ -141,6 +152,19 @@ class TestRandom:
                          "--seed", "1", "--no-oracle"]) == 0
         out = capsys.readouterr().out
         assert "reg=" not in out
+
+    def test_variable_names_sort_past_z(self):
+        assert variable_names(26) == tuple("abcdefghijklmnopqrstuvwxyz")
+        for count in (27, 30, 126, 127):
+            names = variable_names(count)
+            assert Alphabet(names).names[:26] == variable_names(26)
+            assert len(names) == count
+
+    @pytest.mark.parametrize("num_vars", [27, 30])
+    def test_more_than_26_variables(self, capsys, num_vars):
+        assert cli.main(["random", "--vars", str(num_vars), "--gens", "3", "--count", "2",
+                         "--seed", "0", "--no-oracle"]) == 0
+        assert "instance 1:" in capsys.readouterr().out
 
 
 class TestRender:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import word_ideal
+from helpers import dense_rank, word_ideal
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import Monomial, alexander_dual
 from hyperreg.oracle import (
@@ -14,6 +14,8 @@ from hyperreg.oracle import (
     CapExceededError,
     FieldSpec,
     SimplicialComplex,
+    _boundary_rank,
+    _rank_sparse,
     betti_table,
     is_taylor_minimal,
     lcm_lattice,
@@ -47,6 +49,61 @@ class TestFieldSpec:
     def test_rejects_non_primes_and_large(self, bad):
         with pytest.raises(ValueError):
             FieldSpec(bad)
+
+
+class TestBoundaryRank:
+    """The sparse kernel against dense elimination on seeded random matrices."""
+
+    PRIMES = (2, 3, 5, 65521)
+
+    @staticmethod
+    def signed_rows(rng, nrows, ncols):
+        rows = []
+        for _ in range(nrows):
+            support = negative = 0
+            if rng.random() > 0.1:  # keep some empty rows
+                for c in rng.sample(range(ncols), rng.randint(0, min(ncols, 6))):
+                    support |= 1 << c
+                    if rng.random() < 0.5:
+                        negative |= 1 << c
+            rows.append((support, negative))
+        return rows
+
+    @staticmethod
+    def dense(rows, ncols, p):
+        return [[(p - 1 if neg >> c & 1 else 1) if sup >> c & 1 else 0
+                 for c in range(ncols)] for sup, neg in rows]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_signed_rows_match_dense(self, p):
+        rng = random.Random(p)
+        for _ in range(150):
+            nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
+            rows = self.signed_rows(rng, nrows, ncols)
+            assert _boundary_rank(rows, p) == dense_rank(self.dense(rows, ncols, p), p)
+
+    @pytest.mark.parametrize("p", PRIMES[1:])
+    def test_arbitrary_residues_match_dense(self, p):
+        rng = random.Random(1000 + p)
+        for _ in range(150):
+            nrows, ncols = rng.randint(0, 12), rng.randint(1, 12)
+            rows = [{c: rng.randrange(1, p)
+                     for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+                    for _ in range(nrows)]
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            assert _rank_sparse(rows, p) == dense_rank(dense, p)
+
+    def test_empty_and_zero_rows(self):
+        for p in self.PRIMES:
+            assert _boundary_rank([], p) == 0
+            assert _boundary_rank([(0, 0)] * 3, p) == 0
+            assert _rank_sparse([{}, {}], p) == 0
+
+    def test_characteristic_matters(self):
+        # rows e0+e1, e1+e2, e0+e2: dependent over GF(2) only
+        rows = [(0b011, 0), (0b110, 0), (0b101, 0)]
+        assert _boundary_rank(rows, 2) == 2
+        assert _boundary_rank(rows, 3) == 3
 
 
 class TestSimplicialComplex:
@@ -214,6 +271,18 @@ class TestBettiTable:
         eager = betti_table(ideal, GF2, map_fn=lambda f, xs: [f(x) for x in xs])
         assert eager == betti_table(ideal, GF2)
 
+    def test_cached_entries_are_read_only(self):
+        ideal = word_ideal("ab bc")
+        entries = dict(betti_table(ideal, GF2).entries)
+        with pytest.raises(AttributeError):
+            betti_table(ideal, GF2).entries.clear()
+        with pytest.raises(TypeError):
+            betti_table(ideal, GF2).entries[(0, 0)] = 5
+        with pytest.raises(AttributeError):
+            betti_table(ideal, GF2).field = GF3
+        assert betti_table(ideal, GF2).entries == entries
+        assert betti_table(ideal, GF2).field == GF2
+
     def test_render_text_triangle(self):
         text = betti_table(word_ideal("ab ac bc"), GF2).render_text()
         lines = text.splitlines()
@@ -268,6 +337,12 @@ class TestTaylorStrands:
             ideal = random_ideal(rng, nv, rng.randint(2, min(5, max_antichain(nv))))
             for f in (GF2, GF3):
                 assert taylor_strand_betti(ideal, f) == betti_table(ideal, f)
+
+    def test_matches_on_larger_ideals_over_gf5(self):
+        rng = random.Random(61)
+        for _ in range(3):
+            ideal = random_ideal(rng, 12, 10)
+            assert taylor_strand_betti(ideal, GF5) == betti_table(ideal, GF5)
 
     def test_triangle_entries_identical_across_characteristics(self):
         ideal = word_ideal("ab ac bc")
