@@ -188,7 +188,11 @@ def cmd_random(args) -> int:
     tight = {m: 0 for m in methods}
     slack_sum = {m: 0 for m in methods}
     for k in range(args.count):
-        ideal = random_ideal(rng, args.vars, args.gens)
+        try:
+            ideal = random_ideal(rng, args.vars, args.gens)
+        except RuntimeError as exc:  # rejection sampling hit its attempt cap
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAP
         report = best_bounds(ideal)
         record = {
             "instance": k,
@@ -216,7 +220,9 @@ def cmd_random(args) -> int:
         if args.json:
             print(json.dumps(record, sort_keys=True))
         else:
-            gens = ",".join("".join(g.support) for g in ideal.generators)
+            # single letters are glued; longer names need a separator to read back
+            sep = "*" if any(len(name) > 1 for name in ideal.alphabet.names) else ""
+            gens = ",".join(sep.join(g.support) for g in ideal.generators)
             line = (f"instance {k}: gens=({gens}) X={record['X']} V={record['V']} "
                     f"best_upper={record['best_upper']['id']}:{record['best_upper']['value']}")
             if use_oracle:

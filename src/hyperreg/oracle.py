@@ -12,10 +12,12 @@ Two independent routes compute the same table for R/I:
 Both routes build their boundary rows the same way and share one exact
 rank kernel: bit-mask rows when p = 2, sparse ``{column: residue}`` rows
 otherwise, since a boundary row has at most |b| nonzero entries, all of
-them +1 or -1.  Large divisibility complexes are first shrunk by
-repeatedly deleting dominated vertices (a strong collapse, which preserves
-homotopy type and hence all homology ranks); the raw no-collapse path is
-kept and cross-checked by the test suite.
+them +1 or -1.  Each divisibility complex is first shrunk by deleting
+dominated vertices in passes (a strong collapse, which preserves homotopy
+type and hence all homology ranks).  A core that is a point or the boundary
+of a simplex has known homology and builds no faces; only other cores reach
+the boundary matrices.  The raw no-collapse path is kept and cross-checked
+by the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, _support_key
 
@@ -173,9 +175,7 @@ class SimplicialComplex:
             for v in f:
                 mask |= 1 << index[v]
             facet_masks.append(mask)
-        masks = _faces_of_facets(_maximal_masks(facet_masks))
-        flat = {m for layer in masks.values() for m in layer}
-        return cls(verts, _group_by_dim(flat))
+        return cls(verts, _faces_of_facets(_maximal_masks(facet_masks)))
 
     @property
     def is_void(self) -> bool:
@@ -218,33 +218,38 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
 
 
 def _strong_collapse(facets: list[int]) -> list[int]:
-    """Delete dominated vertices until none remain.
+    """Delete dominated vertices, in passes, until none remain.
 
+    ``facets`` must be an antichain; the facets of the core are returned.
     A vertex is dominated when some other vertex belongs to every facet
     containing it; deleting it preserves the homotopy type, so all reduced
-    homology ranks are unchanged.
+    homology ranks are unchanged.  Each pass takes, for every vertex v, the
+    intersection common[v] of the facets containing v, and deletes in vertex
+    order each v whose common[v] holds a vertex other than v not yet deleted
+    in the pass.  That vertex lies in every facet containing v of the complex
+    left by the earlier deletions, so each deletion is a strong collapse.
     """
-    facets = _maximal_masks(facets)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         union = 0
         for f in facets:
             union |= f
-        for v in _bits(union):
-            bit = 1 << v
-            common = ~0
+        removed = 0
+        rest = union
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            common = union
             for f in facets:
                 if f & bit:
                     common &= f
-            if common & ~bit & union:
-                facets = _maximal_masks([f & ~bit for f in facets])
-                changed = True
-                break
-    return facets
+            if common & ~removed & ~bit:
+                removed |= bit
+        if not removed:
+            return facets
+        facets = _maximal_masks([f & ~removed for f in facets])
 
 
-def _faces_of_facets(facets: list[int]) -> dict[int, list[int]]:
+def _faces_of_facets(facets: list[int]) -> dict[int, tuple[int, ...]]:
     faces: set[int] = set()
     for f in facets:
         sub = f
@@ -255,10 +260,7 @@ def _faces_of_facets(facets: list[int]) -> dict[int, list[int]]:
             if sub == 0:
                 break
             sub = (sub - 1) & f
-    grouped: dict[int, list[int]] = {}
-    for m in faces:
-        grouped.setdefault(m.bit_count() - 1, []).append(m)
-    return {d: sorted(layer) for d, layer in sorted(grouped.items())}
+    return _group_by_dim(faces)
 
 
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
@@ -296,17 +298,27 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     return ranks
 
 
-def _union_homology(facet_masks: list[int], p: int, precollapse: bool = True) -> dict[int, int]:
-    """Reduced homology ranks of the union of the given full simplices."""
-    facets = _maximal_masks(facet_masks)
+def _union_homology(facets: list[int], p: int) -> dict[int, int]:
+    """Reduced homology ranks of the union of the given full simplices.
+
+    ``facets`` must be an antichain.  After the strong collapse, a single
+    facet is a point and n facets of size n - 1 on n vertices are the
+    boundary of a simplex, a sphere of dimension n - 2; anything else goes
+    through the chain complex.
+    """
     if not facets:
         return {}
-    if facets == [0]:
-        return {-1: 1}
-    if precollapse:
-        facets = _strong_collapse(facets)
-        if len(facets) == 1:
-            return {}
+    if len(facets) == 1:
+        return {-1: 1} if facets == [0] else {}
+    facets = _strong_collapse(facets)
+    n = len(facets)
+    if n == 1:
+        return {}
+    union = 0
+    for f in facets:
+        union |= f
+    if union.bit_count() == n and all(f.bit_count() == n - 1 for f in facets):
+        return {n - 2: 1}
     return _chain_ranks(_faces_of_facets(facets), p)
 
 
@@ -440,43 +452,24 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     vertices = ideal.alphabet.names_of(b.mask)
     if not facets:
         return SimplicialComplex(vertices, {})
-    faces = _faces_of_facets(_maximal_masks(facets))
-    flat = {m for layer in faces.values() for m in layer}
-    return SimplicialComplex(vertices, _group_by_dim(flat))
-
-
-def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2,
-                map_fn: Callable = map) -> BettiTable:
-    """Full multigraded Betti table of R/I via divisibility-complex homology.
-
-    Degrees are enumerated over the lcm lattice only, where all Betti
-    numbers of a monomial ideal live.  ``map_fn`` may be any order-preserving
-    map (e.g. a process-pool map); per-degree computations are independent
-    and merged deterministically.
-    """
-    return _betti_table_cached(ideal, field_spec) if map_fn is map else \
-        _betti_table_compute(ideal, field_spec, map_fn)
+    return SimplicialComplex(vertices, _faces_of_facets(_maximal_masks(facets)))
 
 
 @lru_cache(maxsize=8192)
-def _betti_table_cached(ideal: MonomialIdeal, field_spec: FieldSpec) -> BettiTable:
-    return _betti_table_compute(ideal, field_spec, map)
+def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable:
+    """Full multigraded Betti table of R/I via divisibility-complex homology.
 
-
-def _betti_table_compute(ideal: MonomialIdeal, field_spec: FieldSpec,
-                         map_fn: Callable) -> BettiTable:
+    Degrees are enumerated over the lcm lattice only, where all Betti
+    numbers of a monomial ideal live.  Tables are cached per ideal and field.
+    """
     if ideal.num_generators > MAX_LATTICE_GENERATORS:
         raise CapExceededError(f"Betti table capped at {MAX_LATTICE_GENERATORS} generators")
     gens = ideal.generator_masks
     p = field_spec.characteristic
-    degrees = sorted(_lattice_masks(ideal), key=_support_key)
-
-    def one_degree(b: int) -> tuple[int, dict[int, int]]:
-        facets = [b & ~g for g in gens if g & ~b == 0]
-        return b, _union_homology(facets, p)
-
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for b, hom in map_fn(one_degree, degrees):
+    for b in sorted(_lattice_masks(ideal), key=_support_key):
+        # minimal generators make the facets b & ~g an antichain
+        hom = _union_homology([b & ~g for g in gens if g & ~b == 0], p)
         for d, rank in sorted(hom.items()):
             entries[(d + 2, b)] = rank
     return BettiTable(field_spec, ideal.alphabet, entries)

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
-from hyperreg.monomials import MonomialIdeal, _support_key, parse_ideal
+from hyperreg.monomials import MonomialIdeal, _bits, _support_key, parse_ideal
+from hyperreg.oracle import _maximal_masks
 
 
 def word_ideal(words: str) -> MonomialIdeal:
@@ -33,3 +34,26 @@ def dense_rank(rows: list[list[int]], p: int) -> int:
             inv = pow(row[lead], -1, p)
             pivots.append((lead, [(a * inv) % p for a in row]))
     return len(pivots)
+
+
+def restart_strong_collapse(facets: list[int]) -> list[int]:
+    """Reference strong collapse: delete one dominated vertex at a time,
+    re-maximalize the facets and restart the scan."""
+    facets = _maximal_masks(facets)
+    changed = True
+    while changed:
+        changed = False
+        union = 0
+        for f in facets:
+            union |= f
+        for v in _bits(union):
+            bit = 1 << v
+            common = ~0
+            for f in facets:
+                if f & bit:
+                    common &= f
+            if common & ~bit & union:
+                facets = _maximal_masks([f & ~bit for f in facets])
+                changed = True
+                break
+    return facets

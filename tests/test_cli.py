@@ -166,6 +166,22 @@ class TestRandom:
                          "--seed", "0", "--no-oracle"]) == 0
         assert "instance 1:" in capsys.readouterr().out
 
+    def test_names_past_z_are_separated(self, capsys):
+        assert cli.main(["random", "--vars", "27", "--gens", "3", "--count", "2",
+                         "--seed", "0", "--no-oracle"]) == 0
+        names = set(variable_names(27))
+        for line in capsys.readouterr().out.splitlines():
+            gens = line.split("gens=(", 1)[1].split(")", 1)[0]
+            for g in gens.split(","):
+                assert set(g.split("*")) <= names
+
+    def test_rejection_sampling_cap_exit_code(self, capsys):
+        assert cli.main(["random", "--vars", "5", "--gens", "9", "--count", "1",
+                         "--seed", "1", "--no-oracle"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: rejection sampling")
+        assert "Traceback" not in err
+
 
 class TestRender:
     def test_dot_to_stdout(self, capsys, saturated_file):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rank, word_ideal
+from helpers import dense_rank, restart_strong_collapse, word_ideal
+from hyperreg import oracle
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import Monomial, alexander_dual
 from hyperreg.oracle import (
@@ -15,7 +16,12 @@ from hyperreg.oracle import (
     FieldSpec,
     SimplicialComplex,
     _boundary_rank,
+    _chain_ranks,
+    _faces_of_facets,
+    _maximal_masks,
     _rank_sparse,
+    _strong_collapse,
+    _union_homology,
     betti_table,
     is_taylor_minimal,
     lcm_lattice,
@@ -266,11 +272,6 @@ class TestBettiTable:
         with pytest.raises(CapExceededError):
             betti_table(ideal, GF2)
 
-    def test_custom_map_hook_matches_default(self):
-        ideal = word_ideal("ab bcdef ac eg fg gh hi")
-        eager = betti_table(ideal, GF2, map_fn=lambda f, xs: [f(x) for x in xs])
-        assert eager == betti_table(ideal, GF2)
-
     def test_cached_entries_are_read_only(self):
         ideal = word_ideal("ab bc")
         entries = dict(betti_table(ideal, GF2).entries)
@@ -395,10 +396,10 @@ class TestDualityCrossCheck:
 
 
 @st.composite
-def facet_families(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def facet_families(draw, max_vertices=7, max_facets=6):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     facets = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
-                           min_size=1, max_size=6))
+                           min_size=1, max_size=max_facets))
     return n, facets
 
 
@@ -412,6 +413,68 @@ def test_collapse_preserves_homology(family):
     for f in (GF2, GF3, GF5):
         assert (reduced_homology_ranks(c, f, precollapse=True)
                 == reduced_homology_ranks(c, f, precollapse=False))
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+@given(facet_families(max_vertices=9, max_facets=10))
+@settings(max_examples=300, deadline=None)
+def test_pass_collapse_matches_restart_reference(family):
+    _, facets = family
+    facets = _maximal_masks(facets)
+    core = _strong_collapse(facets)
+    reference = restart_strong_collapse(facets)
+    # strong-collapse cores are unique up to isomorphism
+    assert _union(core).bit_count() == _union(reference).bit_count()
+    assert sorted(f.bit_count() for f in core) == sorted(f.bit_count() for f in reference)
+    for p in (2, 3):
+        assert _union_homology(facets, p) == _chain_ranks(_faces_of_facets(reference), p)
+
+
+@pytest.fixture
+def face_builds(monkeypatch):
+    """Records every facet list that _union_homology expands into faces."""
+    calls = []
+    original = oracle._faces_of_facets
+    monkeypatch.setattr(oracle, "_faces_of_facets",
+                        lambda facets: calls.append(facets) or original(facets))
+    return calls
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_simplex_boundary_exits_without_faces(face_builds, k):
+    full = (1 << (k + 1)) - 1
+    facets = [full ^ (1 << v) for v in range(k + 1)]
+    for p in (2, 3):
+        expected = _chain_ranks(_faces_of_facets(facets), p)
+        assert expected == {k - 1: 1}
+        assert _union_homology(facets, p) == expected
+    assert face_builds == []
+
+
+def test_octahedron_goes_through_chain_complex(face_builds):
+    # one vertex from each antipodal pair {0,1}, {2,3}, {4,5}
+    facets = [(1 << a) | (1 << b) | (1 << c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    assert sorted(_strong_collapse(facets)) == sorted(facets)
+    for p in (2, 3):
+        assert _union_homology(facets, p) == {2: 1}
+    assert len(face_builds) == 2
+
+
+def test_equal_sized_facets_off_a_simplex_boundary(face_builds):
+    # four triangles on the six pairs of {0..3}, triangle i holding the pairs
+    # that contain i: n facets of size n - 1, but on more than n vertices
+    pairs = list(combinations(range(4), 2))
+    facets = [sum(1 << k for k, pair in enumerate(pairs) if i in pair) for i in range(4)]
+    assert sorted(_strong_collapse(facets)) == sorted(facets)
+    for p in (2, 3):
+        assert _union_homology(facets, p) == {1: 3}
+    assert len(face_builds) == 2
 
 
 def test_sphere_boundaries_have_top_homology():
