@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"\w+", re.ASCII)
+MAX_TRANSVERSALS = 1 << 10
 
 
 class IdealFormatError(ValueError):
@@ -35,6 +36,10 @@ class IdealFormatError(ValueError):
 
 class UnitIdealError(ValueError):
     """Raised when an operation would yield the unit ideal (1 lies in it)."""
+
+
+class CapExceededError(RuntimeError):
+    """A hard resource cap was hit; results are never silently truncated."""
 
 
 @dataclass(frozen=True)
@@ -210,12 +215,7 @@ def minimalize(monomials: Iterable[Monomial]) -> MonomialIdeal:
             raise ValueError("monomials live over different alphabets")
         if m.is_one:
             raise UnitIdealError("1 among the generators")
-    masks = sorted({m.mask for m in monomials}, key=_support_key)
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
-    return MonomialIdeal(alphabet, tuple(kept))
+    return MonomialIdeal(alphabet, tuple(_minimal_masks(m.mask for m in monomials)))
 
 
 def colon_by_monomial(ideal: MonomialIdeal, z: Monomial) -> MonomialIdeal:
@@ -250,7 +250,9 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
 
     A transversal is a set of variables meeting every generator's support;
     only the inclusion-minimal ones are kept.  Computed exactly by an
-    incremental product with pruning.
+    incremental product with pruning.  Raises :class:`CapExceededError`
+    when a step yields more than ``MAX_TRANSVERSALS`` candidates, before
+    their quadratic minimalization (k disjoint edges have 2^k transversals).
     """
     transversals = [0]
     for g in ideal.generator_masks:
@@ -260,6 +262,9 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
                 grown.append(t)
             else:
                 grown.extend(t | (1 << v) for v in _bits(g))
+        if len(grown) > MAX_TRANSVERSALS:
+            raise CapExceededError(
+                f"Alexander dual capped at {MAX_TRANSVERSALS} candidate transversals")
         transversals = _minimal_masks(grown)
     return MonomialIdeal(ideal.alphabet, tuple(sorted(transversals, key=_support_key)))
 

@@ -12,12 +12,14 @@ Two independent routes compute the same table for R/I:
 Both routes build their boundary rows the same way and share one exact
 rank kernel: bit-mask rows when p = 2, sparse ``{column: residue}`` rows
 otherwise, since a boundary row has at most |b| nonzero entries, all of
-them +1 or -1.  Each divisibility complex is first shrunk by deleting
-dominated vertices in passes (a strong collapse, which preserves homotopy
-type and hence all homology ranks).  A core that is a point or the boundary
-of a simplex has known homology and builds no faces; only other cores reach
-the boundary matrices.  The raw no-collapse path is kept and cross-checked
-by the test suite.
+them +1 or -1.  Ranks are taken from the top dimension down with clearing:
+a face that the differential above pivots on gets no row of its own.  Each
+divisibility complex is first shrunk by deleting dominated vertices in
+passes (a strong collapse, which preserves homotopy type and hence all
+homology ranks).  A core that is a point or the boundary of a simplex has
+known homology and builds no faces; only other cores reach the boundary
+matrices.  The raw no-collapse path is kept and cross-checked by the test
+suite.
 """
 
 from __future__ import annotations
@@ -25,17 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, _support_key
+from .monomials import Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _support_key
 
 MAX_LATTICE_GENERATORS = 20
 MAX_TAYLOR_GENERATORS = 16
 MAX_COMPLEX_FACES = 1 << 16
-
-
-class CapExceededError(RuntimeError):
-    """A hard resource cap was hit; results are never silently truncated."""
 
 
 def _is_prime(n: int) -> bool:
@@ -68,7 +66,7 @@ GF3 = FieldSpec(3)
 # ---------------------------------------------------------------------------
 # GF(p) ranks
 
-def _rank_gf2(rows: list[int]) -> int:
+def _rank_gf2(rows: list[int]) -> AbstractSet[int]:
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -78,11 +76,12 @@ def _rank_gf2(rows: list[int]) -> int:
                 pivots[lead] = row
                 break
             row ^= piv
-    return len(pivots)
+    return pivots.keys()
 
 
-def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of rows given as ``{column: nonzero residue}``.
+def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> AbstractSet[int]:
+    """Pivot columns over GF(p), as many as the rank, of rows given as
+    ``{column: nonzero residue}``.
 
     Pivots on the highest column of each row, as :func:`_rank_gf2` does;
     each pivot row is stored scaled to a leading 1.  The rows are reduced
@@ -107,11 +106,12 @@ def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> int:
                     row[c] = x
                 else:
                     del row[c]
-    return len(pivots)
+    return pivots.keys()
 
 
-def _boundary_rank(rows: list[tuple[int, int]], p: int) -> int:
-    """Rank over GF(p) of a matrix whose nonzero entries are all +1 or -1.
+def _boundary_rank(rows: list[tuple[int, int]], p: int) -> AbstractSet[int]:
+    """Pivot columns over GF(p), as many as the rank, of a matrix whose
+    nonzero entries are all +1 or -1.
 
     A row is a pair of column masks: its support, and the subset of the
     support holding -1.
@@ -191,15 +191,6 @@ class SimplicialComplex:
     def num_faces(self) -> int:
         return sum(len(layer) for layer in self.faces_by_dim.values())
 
-    def faces(self, dim: int) -> tuple[frozenset, ...]:
-        return tuple(
-            frozenset(self.vertices[b] for b in _bits(mask))
-            for mask in self.faces_by_dim.get(dim, ()))
-
-    def has_face(self, face: Iterable) -> bool:
-        members = set(face)
-        return frozenset(members) in set(self.faces(len(members) - 1))
-
 
 def _group_by_dim(masks: Iterable[int]) -> dict[int, tuple[int, ...]]:
     grouped: dict[int, list[int]] = {}
@@ -271,14 +262,24 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     a downward-closed complex, keyed by dimension, this is the reduced
     simplicial chain complex; on a Taylor strand, keyed by subset size, it
     is the strand's differential.
+
+    Ranks are taken from the top down, and a d-mask that is a pivot column
+    of the differential on ``layers[d + 1]`` gets no row (clearing): the
+    reduced row leading there is a boundary, whose boundary is zero, so the
+    mask's row is a combination of the rows before it in ``layers[d]``.
+    This needs the rows of one differential and the columns of the next in
+    the same ``layers[d]`` order.
     """
-    boundary_rank: dict[int, int] = {}
-    for d, layer in layers.items():
+    pivots: dict[int, AbstractSet[int]] = {}
+    for d in sorted(layers, reverse=True):
         column = {m: 1 << k for k, m in enumerate(layers.get(d - 1, ()))}
         if not column:
             continue
+        cleared = pivots.get(d + 1, ())
         rows = []
-        for m in layer:
+        for k, m in enumerate(layers[d]):
+            if k in cleared:
+                continue
             support = negative = sign = 0
             rest = m
             while rest:
@@ -289,10 +290,10 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
                 negative |= bit & sign  # sign flips between 0 and ~0
                 sign = ~sign
             rows.append((support, negative))
-        boundary_rank[d] = _boundary_rank(rows, p)
+        pivots[d] = _boundary_rank(rows, p)
     ranks: dict[int, int] = {}
     for d in sorted(layers):
-        r = len(layers[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+        r = len(layers[d]) - len(pivots.get(d, ())) - len(pivots.get(d + 1, ()))
         if r:
             ranks[d] = r
     return ranks
@@ -420,14 +421,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
 
 
 def _lattice_masks(ideal: MonomialIdeal) -> set[int]:
-    gens = ideal.generator_masks
-    lcms = [0] * (1 << len(gens))
-    out: set[int] = set()
-    for s in range(1, 1 << len(gens)):
-        low = s & -s
-        lcms[s] = lcms[s ^ low] | gens[low.bit_length() - 1]
-        out.add(lcms[s])
-    return out
+    return set(_subset_lcms(ideal)[1:])
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -467,7 +461,7 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     gens = ideal.generator_masks
     p = field_spec.characteristic
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for b in sorted(_lattice_masks(ideal), key=_support_key):
+    for b in _lattice_masks(ideal):  # BettiTable sorts the entries
         # minimal generators make the facets b & ~g an antichain
         hom = _union_homology([b & ~g for g in gens if g & ~b == 0], p)
         for d, rank in sorted(hom.items()):

@@ -1,12 +1,16 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_dual, word_ideal
+from hyperreg import oracle
 from hyperreg.monomials import (
+    MAX_TRANSVERSALS,
     Alphabet,
+    CapExceededError,
     IdealFormatError,
     Monomial,
     MonomialIdeal,
@@ -194,6 +198,26 @@ class TestAlexanderDual:
             dual = alexander_dual(ideal)
             assert dual == brute_force_dual(ideal)
             assert alexander_dual(dual) == ideal
+
+    @staticmethod
+    def disjoint_edges(k):
+        return parse_ideal("\n".join(f"x{i} y{i}" for i in range(k)))
+
+    def test_transversal_cap_boundary(self):
+        # k disjoint edges have 2^k minimal transversals
+        assert MAX_TRANSVERSALS == 1 << 10
+        assert alexander_dual(self.disjoint_edges(10)).num_generators == 1 << 10
+        with pytest.raises(CapExceededError):
+            alexander_dual(self.disjoint_edges(11))
+
+    def test_transversal_cap_fires_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            alexander_dual(self.disjoint_edges(16))
+        assert time.perf_counter() - start < 1.0
+
+    def test_oracle_reexports_the_cap_error(self):
+        assert oracle.CapExceededError is CapExceededError
 
 
 # hypothesis strategies: alphabets of 2..7 letters, nonempty support masks

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rank, restart_strong_collapse, word_ideal
+from helpers import (
+    dense_boundary,
+    dense_rank,
+    faces,
+    has_face,
+    restart_strong_collapse,
+    uncleared_chain_ranks,
+    word_ideal,
+)
 from hyperreg import oracle
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import Monomial, alexander_dual
@@ -21,6 +29,7 @@ from hyperreg.oracle import (
     _maximal_masks,
     _rank_sparse,
     _strong_collapse,
+    _subset_lcms,
     _union_homology,
     betti_table,
     is_taylor_minimal,
@@ -86,7 +95,7 @@ class TestBoundaryRank:
         for _ in range(150):
             nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
             rows = self.signed_rows(rng, nrows, ncols)
-            assert _boundary_rank(rows, p) == dense_rank(self.dense(rows, ncols, p), p)
+            assert len(_boundary_rank(rows, p)) == dense_rank(self.dense(rows, ncols, p), p)
 
     @pytest.mark.parametrize("p", PRIMES[1:])
     def test_arbitrary_residues_match_dense(self, p):
@@ -97,19 +106,19 @@ class TestBoundaryRank:
                      for c in rng.sample(range(ncols), rng.randint(0, ncols))}
                     for _ in range(nrows)]
             dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-            assert _rank_sparse(rows, p) == dense_rank(dense, p)
+            assert len(_rank_sparse(rows, p)) == dense_rank(dense, p)
 
     def test_empty_and_zero_rows(self):
         for p in self.PRIMES:
-            assert _boundary_rank([], p) == 0
-            assert _boundary_rank([(0, 0)] * 3, p) == 0
-            assert _rank_sparse([{}, {}], p) == 0
+            assert len(_boundary_rank([], p)) == 0
+            assert len(_boundary_rank([(0, 0)] * 3, p)) == 0
+            assert len(_rank_sparse([{}, {}], p)) == 0
 
     def test_characteristic_matters(self):
         # rows e0+e1, e1+e2, e0+e2: dependent over GF(2) only
         rows = [(0b011, 0), (0b110, 0), (0b101, 0)]
-        assert _boundary_rank(rows, 2) == 2
-        assert _boundary_rank(rows, 3) == 3
+        assert len(_boundary_rank(rows, 2)) == 2
+        assert len(_boundary_rank(rows, 3)) == 3
 
 
 class TestSimplicialComplex:
@@ -120,9 +129,9 @@ class TestSimplicialComplex:
     def test_from_facets_closes_downward(self):
         c = SimplicialComplex.from_facets("abc", [("a", "b"), ("c",)])
         assert c.num_faces == 5  # empty, a, b, c, ab
-        assert c.has_face(())
-        assert c.has_face(("a", "b"))
-        assert not c.has_face(("a", "c"))
+        assert has_face(c, ())
+        assert has_face(c, ("a", "b"))
+        assert not has_face(c, ("a", "c"))
 
     def test_face_cap_is_hard_error(self):
         with pytest.raises(CapExceededError):
@@ -150,8 +159,8 @@ class TestUpperKoszul:
     def test_triangle_top_degree_is_three_points(self):
         ideal = word_ideal("ab ac bc")
         c = upper_koszul(ideal, mono(ideal, "abc"))
-        assert len(c.faces(-1)) == 1
-        assert len(c.faces(0)) == 3
+        assert len(faces(c, -1)) == 1
+        assert len(faces(c, 0)) == 3
         assert c.dim == 0
 
 
@@ -457,9 +466,12 @@ def test_simplex_boundary_exits_without_faces(face_builds, k):
     assert face_builds == []
 
 
+# one vertex from each antipodal pair {0,1}, {2,3}, {4,5}
+OCTAHEDRON = [(1 << a) | (1 << b) | (1 << c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
 def test_octahedron_goes_through_chain_complex(face_builds):
-    # one vertex from each antipodal pair {0,1}, {2,3}, {4,5}
-    facets = [(1 << a) | (1 << b) | (1 << c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    facets = OCTAHEDRON
     assert sorted(_strong_collapse(facets)) == sorted(facets)
     for p in (2, 3):
         assert _union_homology(facets, p) == {2: 1}
@@ -475,6 +487,56 @@ def test_equal_sized_facets_off_a_simplex_boundary(face_builds):
     for p in (2, 3):
         assert _union_homology(facets, p) == {1: 3}
     assert len(face_builds) == 2
+
+
+PRIMES = (2, 3, 5, 65521)
+
+
+@given(facet_families())
+@settings(max_examples=200, deadline=None)
+def test_clearing_matches_uncleared_reference_on_complexes(family):
+    _, facets = family
+    layers = _faces_of_facets(facets)
+    for p in PRIMES:
+        assert _chain_ranks(layers, p) == uncleared_chain_ranks(layers, p)
+
+
+def test_clearing_matches_uncleared_reference_on_taylor_strands():
+    rng = random.Random(71)
+    for _ in range(40):
+        nv = rng.randint(4, 9)
+        ideal = random_ideal(rng, nv, rng.randint(2, min(7, max_antichain(nv))))
+        lcms = _subset_lcms(ideal)
+        strands = {}
+        for s in range(1 << ideal.num_generators):
+            strands.setdefault(lcms[s], {}).setdefault(s.bit_count(), []).append(s)
+        for layers in strands.values():
+            for p in PRIMES:
+                assert _chain_ranks(layers, p) == uncleared_chain_ranks(layers, p)
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Records how many rows each call of the rank kernel receives."""
+    counts = []
+    original = oracle._boundary_rank
+    monkeypatch.setattr(oracle, "_boundary_rank",
+                        lambda rows, p: counts.append(len(rows)) or original(rows, p))
+    return counts
+
+
+@pytest.mark.parametrize("facets", [[(1 << n) - 1] for n in range(2, 8)] + [OCTAHEDRON],
+                         ids=[f"simplex{n}" for n in range(2, 8)] + ["octahedron"])
+def test_clearing_skips_rows_pivoted_on_above(kernel_rows, facets):
+    layers = _faces_of_facets(facets)
+    for p in (2, 3):
+        kernel_rows.clear()
+        _chain_ranks(layers, p)
+        # one call per dimension d with faces below it, from the top down
+        expected = [len(layers[d]) - dense_rank(dense_boundary(layers, d + 1), p)
+                    for d in sorted(layers, reverse=True) if d - 1 in layers]
+        assert kernel_rows == expected
+        assert sum(expected) < sum(len(layers[d]) for d in layers if d - 1 in layers)
 
 
 def test_sphere_boundaries_have_top_homology():
