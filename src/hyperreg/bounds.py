@@ -22,7 +22,7 @@ from .hypergraph import (
     simple_edges,
 )
 from .monomials import MonomialIdeal
-from .oracle import MAX_LATTICE_GENERATORS, CapExceededError
+from .oracle import MAX_LATTICE_GENERATORS, CapExceededError, _lattice_levels
 
 MATCHING_CANDIDATE_CAP = 20
 
@@ -54,20 +54,14 @@ def saturated_projective_dimension(hypergraph: LabeledHypergraph) -> int:
 
 
 def taylor_regularity_bound(ideal: MonomialIdeal) -> int:
-    """Upper bound max over generator subsets F of deg(lcm(F)) - |F|."""
-    mu = ideal.num_generators
-    if mu > MAX_LATTICE_GENERATORS:
-        raise CapExceededError(f"subset scan capped at {MAX_LATTICE_GENERATORS} generators")
-    gens = ideal.generator_masks
-    lcms = [0] * (1 << mu)
-    best = None
-    for s in range(1, 1 << mu):
-        low = s & -s
-        lcms[s] = lcms[s ^ low] | gens[low.bit_length() - 1]
-        value = lcms[s].bit_count() - s.bit_count()
-        if best is None or value > best:
-            best = value
-    return best
+    """Upper bound max over generator subsets F of deg(lcm(F)) - |F|.
+
+    For each lcm only the smallest F matters, so the maximum is taken over
+    the lcm lattice with its levels.
+    """
+    if ideal.num_generators > MAX_LATTICE_GENERATORS:
+        raise CapExceededError(f"Taylor bound capped at {MAX_LATTICE_GENERATORS} generators")
+    return max(m.bit_count() - level for m, level in _lattice_levels(ideal).items())
 
 
 def iso_upper_bound(hypergraph: LabeledHypergraph) -> int:

@@ -8,7 +8,6 @@ vertex count drives all the regularity formulas in :mod:`hyperreg.bounds`.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterable, Mapping
 
 from .monomials import Alphabet, Monomial, MonomialIdeal, minimalize
@@ -179,51 +178,6 @@ def is_saturated(hypergraph: LabeledHypergraph) -> bool:
 def dimension(hypergraph: LabeledHypergraph) -> int:
     """Max edge size minus one."""
     return max(len(e) for e in hypergraph.edges) - 1
-
-
-def isomorphic(a: LabeledHypergraph, b: LabeledHypergraph) -> bool:
-    """Equality up to a vertex permutation (labels must match exactly).
-
-    A permutation pi works iff every vertex maps to one with the same label
-    set, so candidates are grouped by label profile and matched by
-    backtracking; profile groups are tiny in practice.
-    """
-    if a.num_vertices != b.num_vertices or sorted(a.labels) != sorted(b.labels):
-        return False
-    profile_a = {v: frozenset(a.vertex_labels(v)) for v in a.vertices}
-    profile_b: dict[frozenset[str], list[int]] = {}
-    for w in b.vertices:
-        profile_b.setdefault(frozenset(b.vertex_labels(w)), []).append(w)
-    groups: list[tuple[list[int], list[int]]] = []
-    seen: set[frozenset[str]] = set()
-    for v in a.vertices:
-        p = profile_a[v]
-        if p in seen:
-            continue
-        seen.add(p)
-        mine = [u for u in a.vertices if profile_a[u] == p]
-        theirs = profile_b.get(p, [])
-        if len(mine) != len(theirs):
-            return False
-        groups.append((mine, theirs))
-
-    def check(mapping: dict[int, int]) -> bool:
-        for name, image in a.labels.items():
-            if frozenset(mapping[v] for v in image) != b.labels[name]:
-                return False
-        return True
-
-    def backtrack(i: int, mapping: dict[int, int]) -> bool:
-        if i == len(groups):
-            return check(mapping)
-        mine, theirs = groups[i]
-        for perm in permutations(theirs):
-            mapping.update(zip(mine, perm))
-            if backtrack(i + 1, mapping):
-                return True
-        return False
-
-    return backtrack(0, {})
 
 
 def to_json_dict(hypergraph: LabeledHypergraph) -> dict:

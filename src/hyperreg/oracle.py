@@ -10,16 +10,22 @@ Two independent routes compute the same table for R/I:
   of the resulting strands.
 
 Both routes build their boundary rows the same way and share one exact
-rank kernel: bit-mask rows when p = 2, sparse ``{column: residue}`` rows
-otherwise, since a boundary row has at most |b| nonzero entries, all of
-them +1 or -1.  Ranks are taken from the top dimension down with clearing:
-a face that the differential above pivots on gets no row of its own.  Each
-divisibility complex is first shrunk by deleting dominated vertices in
-passes (a strong collapse, which preserves homotopy type and hence all
-homology ranks).  A core that is a point or the boundary of a simplex has
-known homology and builds no faces; only other cores reach the boundary
-matrices.  The raw no-collapse path is kept and cross-checked by the test
-suite.
+rank kernel, whose row form depends only on p: a bit mask when p = 2, two
+bit masks (the +1 and the -1 columns) reduced by bit-sliced addition when
+p = 3, and sparse ``{column: residue}`` rows for larger primes.  A boundary
+row has at most |b| nonzero entries, all of them +1 or -1.  Ranks are
+taken from the top dimension down with clearing: a face that the
+differential above pivots on gets no row of its own.  Each divisibility
+complex is first shrunk by deleting dominated vertices in passes (a strong
+collapse, which preserves homotopy type and hence all homology ranks).  A
+core that is a point or the boundary of a simplex has known homology and
+builds no faces; only other cores reach the boundary matrices.  The raw
+no-collapse path is kept and cross-checked by the test suite.
+
+The lcm lattice is built as a closure, one generator at a time, recording
+for each element the fewest generators whose lcm it is; the Taylor bound
+reads the same levels.  Only the Taylor-complex routes scan all 2^mu
+generator subsets.
 """
 
 from __future__ import annotations
@@ -109,15 +115,43 @@ def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> AbstractSet[int]:
     return pivots.keys()
 
 
+def _rank_gf3(rows: Iterable[tuple[int, int]]) -> AbstractSet[int]:
+    """Pivot columns over GF(3), as many as the rank, of rows given as
+    ``(pos, neg)``: the mask of the +1 columns and the mask of the -1 columns.
+
+    Pivots on the highest column of each row, as :func:`_rank_gf2` does;
+    each pivot row is stored scaled to a leading +1, which swaps its masks.
+    A row is reduced by adding the pivot, or its negation, bit-sliced:
+    1 + 1 = -1 and -1 + -1 = 1.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for pos, neg in rows:
+        while pos | neg:
+            lead = (pos | neg).bit_length() - 1
+            plus = pos >> lead & 1
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = (pos, neg) if plus else (neg, pos)
+                break
+            # subtract the pivot scaled to the row's leading entry
+            n2, p2 = piv if plus else (piv[1], piv[0])
+            pos, neg = (((pos ^ p2) & ~(neg | n2)) | (neg & n2),
+                        ((neg ^ n2) & ~(pos | p2)) | (pos & p2))
+    return pivots.keys()
+
+
 def _boundary_rank(rows: list[tuple[int, int]], p: int) -> AbstractSet[int]:
     """Pivot columns over GF(p), as many as the rank, of a matrix whose
     nonzero entries are all +1 or -1.
 
     A row is a pair of column masks: its support, and the subset of the
-    support holding -1.
+    support holding -1.  GF(2) and GF(3) eliminate the masks themselves;
+    larger primes need the ``{column: residue}`` rows of :func:`_rank_sparse`.
     """
     if p == 2:
         return _rank_gf2([support for support, _ in rows])
+    if p == 3:
+        return _rank_gf3([(support & ~negative, negative) for support, negative in rows])
     sparse = []
     for support, negative in rows:
         row = {}
@@ -362,8 +396,15 @@ class BettiTable:
     entries: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        # The order of (i, _support_key(mask)) without a tuple per mask: of
+        # two masks of one degree, the one holding the lowest variable where
+        # they differ comes first, so the complements' bit strings, read from
+        # the lowest bit up, ascend (one that stops short holds every
+        # variable past its end, and sorts first as a prefix should).
+        top = (1 << len(self.alphabet)) - 1
         object.__setattr__(self, "entries", MappingProxyType(dict(sorted(
-            self.entries.items(), key=lambda kv: (kv[0][0], _support_key(kv[0][1]))))))
+            self.entries.items(), key=lambda kv: (
+                kv[0][0], kv[0][1].bit_count(), bin(top ^ kv[0][1])[:1:-1])))))
 
     @property
     def regularity(self) -> int:
@@ -417,11 +458,26 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     if mu > MAX_LATTICE_GENERATORS:
         raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
     return tuple(Monomial(ideal.alphabet, m)
-                 for m in sorted(_lattice_masks(ideal), key=_support_key))
+                 for m in sorted(_lattice_levels(ideal), key=_support_key))
 
 
-def _lattice_masks(ideal: MonomialIdeal) -> set[int]:
-    return set(_subset_lcms(ideal)[1:])
+def _lattice_levels(ideal: MonomialIdeal) -> dict[int, int]:
+    """Every lcm of a nonempty generator subset, mapped to the fewest
+    generators whose lcm it is.
+
+    The generators are folded in one at a time: joining g with each element
+    so far reaches every new lcm, at one level more, so the work is at most
+    mu times the lattice size instead of 2^mu.  Different elements can join
+    to the same lcm, and then the smaller level is kept.
+    """
+    levels: dict[int, int] = {}
+    for g in ideal.generator_masks:
+        for m, level in list(levels.items()):
+            joined = m | g
+            if levels.get(joined, level + 2) > level + 1:
+                levels[joined] = level + 1
+        levels[g] = 1
+    return levels
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -461,7 +517,7 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     gens = ideal.generator_masks
     p = field_spec.characteristic
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for b in _lattice_masks(ideal):  # BettiTable sorts the entries
+    for b in _lattice_levels(ideal):  # BettiTable sorts the entries
         # minimal generators make the facets b & ~g an antichain
         hom = _union_homology([b & ~g for g in gens if g & ~b == 0], p)
         for d, rank in sorted(hom.items()):
@@ -497,12 +553,6 @@ class TaylorComplex:
     @property
     def num_generators(self) -> int:
         return self.ideal.num_generators
-
-    def rank(self, i: int) -> int:
-        return sum(1 for s in range(1 << self.num_generators) if s.bit_count() == i)
-
-    def basis(self, i: int) -> list[int]:
-        return [s for s in range(1 << self.num_generators) if s.bit_count() == i]
 
     def multidegree(self, subset: int) -> Monomial:
         return Monomial(self.ideal.alphabet, self.subset_lcms[subset])

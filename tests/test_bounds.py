@@ -2,8 +2,9 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import word_ideal
+from helpers import ideals, subset_scan_levels, word_ideal
 from hyperreg import bounds
 from hyperreg.bounds import (
     ALL_METHODS,
@@ -71,6 +72,17 @@ class TestTaylorBound:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             taylor_regularity_bound(word_ideal(" ".join("abcdefghijklmnopqrstu")))
+
+    def test_collision_of_levels(self):
+        # three generators already have the lcm of all four: level 3, not 4
+        ideal = parse_ideal("x03\nx01 x02 x04\nx01 x04 x06\nx00 x04 x05 x06")
+        assert taylor_regularity_bound(ideal) == 4
+
+    @given(ideals())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subset_scan(self, ideal):
+        levels = subset_scan_levels(ideal)
+        assert taylor_regularity_bound(ideal) == max(m.bit_count() - k for m, k in levels.items())
 
 
 class TestIsoBound:

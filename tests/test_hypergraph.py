@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import word_ideal
+from helpers import isomorphic, word_ideal
 from hyperreg.hypergraph import (
     LabeledHypergraph,
     NotSeparatedError,
@@ -14,7 +14,6 @@ from hyperreg.hypergraph import (
     ideal_of,
     is_saturated,
     is_separated,
-    isomorphic,
     neighbors,
     open_vertices,
     render,

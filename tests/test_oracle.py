@@ -6,26 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_support_key_order,
     dense_boundary,
     dense_rank,
     faces,
     has_face,
+    ideals,
     restart_strong_collapse,
+    subset_scan_levels,
+    taylor_rank,
     uncleared_chain_ranks,
     word_ideal,
 )
 from hyperreg import oracle
 from hyperreg.hypergraph import build_hypergraph, is_saturated
-from hyperreg.monomials import Monomial, alexander_dual
+from hyperreg.monomials import Alphabet, Monomial, alexander_dual, parse_ideal
 from hyperreg.oracle import (
     GF2,
     GF3,
+    BettiTable,
     CapExceededError,
     FieldSpec,
     SimplicialComplex,
     _boundary_rank,
     _chain_ranks,
     _faces_of_facets,
+    _lattice_levels,
     _maximal_masks,
     _rank_sparse,
     _strong_collapse,
@@ -41,7 +47,7 @@ from hyperreg.oracle import (
     taylor_strand_betti,
     upper_koszul,
 )
-from hyperreg.randgen import max_antichain, random_ideal
+from hyperreg.randgen import max_antichain, random_ideal, variable_names
 
 GF5 = FieldSpec(5)
 
@@ -113,6 +119,36 @@ class TestBoundaryRank:
             assert len(_boundary_rank([], p)) == 0
             assert len(_boundary_rank([(0, 0)] * 3, p)) == 0
             assert len(_rank_sparse([{}, {}], p)) == 0
+
+    @staticmethod
+    def sparse(rows, p):
+        return [{c: p - 1 if neg >> c & 1 else 1 for c in range(sup.bit_length()) if sup >> c & 1}
+                for sup, neg in rows]
+
+    def test_gf3_masks_match_sparse_and_dense(self):
+        rng = random.Random(3003)
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
+            rows = self.signed_rows(rng, nrows, ncols)
+            for k in rng.sample(range(nrows), nrows // 2):
+                sup, neg = rows[k]
+                if sup:  # lead with -1
+                    rows[k] = (sup, neg | 1 << sup.bit_length() - 1)
+            rows += [(0, 0)] * rng.randint(0, 2)
+            rng.shuffle(rows)
+            pivots = _boundary_rank(rows, 3)
+            # the same highest-column rule gives the same pivot columns
+            assert set(pivots) == set(_rank_sparse(self.sparse(rows, 3), 3))
+            assert len(pivots) == dense_rank(self.dense(rows, ncols, 3), 3)
+
+    def test_gf3_leading_minus_one_pivots(self):
+        # e0 - e1 is stored as e1 - e0; e0 + e1 then reduces to 2e0 = -e0, a
+        # pivot, and -e0 - e1 to -2e0 = e0, which that pivot clears
+        rows = [(0b11, 0b10), (0b11, 0), (0b11, 0b11)]
+        assert sorted(_boundary_rank(rows, 3)) == [0, 1]
+        # multiples of e0 + e1, leading with +1 or -1, all reduce to zero
+        rows = [(0b11, 0), (0b11, 0b11), (0b11, 0)]
+        assert sorted(_boundary_rank(rows, 3)) == [1]
 
     def test_characteristic_matters(self):
         # rows e0+e1, e1+e2, e0+e2: dependent over GF(2) only
@@ -209,6 +245,26 @@ class TestLcmLattice:
             lcm_lattice(ideal)
 
 
+class TestLatticeLevels:
+    """The incremental closure against a scan of every generator subset."""
+
+    # x03, x01 x02 x04 and x00 x04 x05 x06 already have the lcm of all four
+    # generators: only a closure that keeps the smaller level when two joins
+    # meet gets level 3 there, and the Taylor bound 4
+    COLLISION = "x03\nx01 x02 x04\nx01 x04 x06\nx00 x04 x05 x06"
+
+    @given(ideals())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subset_scan(self, ideal):
+        assert _lattice_levels(ideal) == subset_scan_levels(ideal)
+
+    def test_collision_keeps_the_smaller_level(self):
+        ideal = parse_ideal(self.COLLISION)
+        levels = _lattice_levels(ideal)
+        assert levels == subset_scan_levels(ideal)
+        assert max(m.bit_count() - k for m, k in levels.items()) == 4
+
+
 class TestBettiTable:
     def test_koszul_complex_of_two_variables(self):
         table = betti_table(word_ideal("a b"), GF2)
@@ -293,6 +349,20 @@ class TestBettiTable:
         assert betti_table(ideal, GF2).entries == entries
         assert betti_table(ideal, GF2).field == GF2
 
+    @given(ideals(max_vars=8, max_gens=7), st.sampled_from([2, 3, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_in_support_key_order(self, ideal, p):
+        field_spec = FieldSpec(p)
+        assert_support_key_order(betti_table(ideal, field_spec))
+        assert_support_key_order(taylor_strand_betti(ideal, field_spec))
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, (1 << n) - 1)),
+                                    st.integers(1, 5), max_size=40))))
+    def test_arbitrary_entries_in_support_key_order(self, drawn):
+        n, entries = drawn
+        assert_support_key_order(BettiTable(GF2, Alphabet(variable_names(n)), entries))
+
     def test_render_text_triangle(self):
         text = betti_table(word_ideal("ab ac bc"), GF2).render_text()
         lines = text.splitlines()
@@ -310,7 +380,7 @@ class TestBettiTable:
 class TestTaylorComplex:
     def test_koszul_shape_on_two_coprime_generators(self):
         t = taylor_complex(word_ideal("a b"))
-        assert [t.rank(i) for i in range(3)] == [1, 2, 1]
+        assert [taylor_rank(t, i) for i in range(3)] == [1, 2, 1]
         assert str(t.multidegree(0b11)) == "a*b"
         terms = t.differential(0b11)
         alphabet = t.ideal.alphabet
@@ -319,7 +389,7 @@ class TestTaylorComplex:
 
     def test_triangle_top_multidegree(self):
         t = taylor_complex(word_ideal("ab ac bc"))
-        assert t.rank(3) == 1
+        assert taylor_rank(t, 3) == 1
         assert str(t.multidegree(0b111)) == "a*b*c"
 
     def test_saturated_top_is_everything(self):
