@@ -12,16 +12,15 @@ from dataclasses import dataclass
 
 from .hypergraph import (
     LabeledHypergraph,
+    _each_open_in_one,
     build_hypergraph,
     dimension,
     has_isolated_open_vertices,
     has_isolated_simple_edges,
     is_saturated,
-    neighbors,
-    open_vertices,
     simple_edges,
 )
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, _bits
 from .oracle import MAX_LATTICE_GENERATORS, CapExceededError, _lattice_levels
 
 MATCHING_CANDIDATE_CAP = 20
@@ -75,71 +74,63 @@ def min_fill_number(hypergraph: LabeledHypergraph) -> tuple[int, frozenset[int]]
     """Minimum number of open vertices to close so no two open ones stay adjacent.
 
     This is a minimum vertex cover of the open-open adjacency graph,
-    solved exactly by branch and bound seeded with a greedy cover.
+    solved exactly by branch and bound seeded with a greedy cover.  The
+    search runs on the hypergraph's vertex masks: ``alive`` holds the
+    vertices still in the graph, and an edge counts while both ends are
+    alive.  Ties go to the lowest bit, the smallest vertex.
     """
-    opens = sorted(open_vertices(hypergraph))
-    adjacency = {
-        v: set(neighbors(hypergraph, v)) & set(opens) for v in opens}
-    cover = _min_vertex_cover(adjacency)
-    return len(cover), frozenset(cover)
+    opens = hypergraph.open_mask
+    adjacency = [a & opens for a in hypergraph.adjacency]
+    cover = _min_vertex_cover(adjacency, opens)
+    return cover.bit_count(), hypergraph.vertex_set(cover)
 
 
-def _greedy_cover(adjacency: dict[int, set[int]]) -> set[int]:
-    adj = {v: set(ns) for v, ns in adjacency.items()}
-    cover: set[int] = set()
-    while True:
-        v = max(sorted(adj), key=lambda u: len(adj[u]), default=None)
-        if v is None or not adj[v]:
-            return cover
-        cover.add(v)
-        for u in adj[v]:
-            adj[u].discard(v)
-        adj[v] = set()
+def _max_degree(adjacency: list[int], alive: int) -> int | None:
+    """The first alive vertex of maximum degree, or None when no edge is left."""
+    v = max(_bits(alive), key=lambda u: (adjacency[u] & alive).bit_count(), default=None)
+    return v if v is not None and adjacency[v] & alive else None
 
 
-def _matching_lower(adj: dict[int, set[int]]) -> int:
-    matched: set[int] = set()
-    size = 0
-    for v in sorted(adj):
-        if v in matched:
-            continue
-        for u in sorted(adj[v]):
-            if u not in matched:
-                matched.update((v, u))
-                size += 1
-                break
+def _greedy_cover(adjacency: list[int], alive: int) -> int:
+    chosen = 0
+    while (v := _max_degree(adjacency, alive)) is not None:
+        chosen |= 1 << v
+        alive &= ~(1 << v)
+    return chosen
+
+
+def _matching_lower(adjacency: list[int], alive: int) -> int:
+    matched = size = 0
+    for v in _bits(alive):
+        free = adjacency[v] & alive & ~matched
+        if free and not matched & (1 << v):
+            matched |= (1 << v) | (free & -free)
+            size += 1
     return size
 
 
-def _min_vertex_cover(adjacency: dict[int, set[int]]) -> set[int]:
-    best = _greedy_cover(adjacency)
+def _min_vertex_cover(adjacency: list[int], alive: int) -> int:
+    best = _greedy_cover(adjacency, alive)
 
-    def search(adj: dict[int, set[int]], chosen: set[int]) -> None:
+    def search(alive: int, chosen: int) -> None:
         nonlocal best
-        adj = {v: set(ns) for v, ns in adj.items() if ns}
         # degree-1 reduction: the neighbor of a pendant vertex is always safe
-        while adj:
-            pendant = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
-            if pendant is None:
-                break
-            u = next(iter(adj[pendant]))
-            chosen = chosen | {u}
-            adj = {v: ns - {u} for v, ns in adj.items() if v != u}
-            adj = {v: ns for v, ns in adj.items() if ns}
-        if not adj:
-            if len(chosen) < len(best):
-                best = set(chosen)
+        while (pendant := next((v for v in _bits(alive)
+                                if (adjacency[v] & alive).bit_count() == 1), None)) is not None:
+            chosen |= adjacency[pendant] & alive
+            alive &= ~adjacency[pendant]
+        v = _max_degree(adjacency, alive)
+        if v is None:
+            if chosen.bit_count() < best.bit_count():
+                best = chosen
             return
-        if len(chosen) + _matching_lower(adj) >= len(best):
+        if chosen.bit_count() + _matching_lower(adjacency, alive) >= best.bit_count():
             return
-        v = max(sorted(adj), key=lambda u: len(adj[u]))
-        taken = {u: ns - {v} for u, ns in adj.items() if u != v}
-        search(taken, chosen | {v})
-        nbrs = adj[v]
-        left = {u: ns - nbrs for u, ns in adj.items() if u != v and u not in nbrs}
-        search(left, chosen | nbrs)
+        search(alive & ~(1 << v), chosen | (1 << v))
+        nbrs = adjacency[v] & alive
+        search(alive & ~((1 << v) | nbrs), chosen | nbrs)
 
-    search(adjacency, set())
+    search(alive, 0)
     return best
 
 
@@ -171,37 +162,34 @@ def matching_lower_bound(
     """
     if dimension(hypergraph) != 1:
         raise ValueError("matching bound needs a one-dimensional hypergraph")
-    opens = sorted(open_vertices(hypergraph))
     value = hypergraph.label_count - hypergraph.num_vertices
-    if not opens:
+    if not hypergraph.open_mask:
         return value, frozenset()
-    candidates = sorted(
-        v for v in hypergraph.vertices
-        if frozenset((v,)) in hypergraph.edge_labels
-        and hypergraph.multiplicity(frozenset((v,))) == 1)
+    closed = ((1 << hypergraph.num_vertices) - 1) & ~hypergraph.open_mask
+    candidates = [k for k in _bits(closed)
+                  if hypergraph.multiplicity(frozenset((hypergraph.vertices[k],))) == 1]
     if len(candidates) > MATCHING_CANDIDATE_CAP:
         raise CapExceededError(
             f"matching search capped at {MATCHING_CANDIDATE_CAP} closed vertices")
-    nbrs = {v: neighbors(hypergraph, v) for v in set(candidates) | set(opens)}
+    adjacency = hypergraph.adjacency
 
-    def search(uncovered: list[int], chosen: frozenset[int]) -> frozenset[int] | None:
+    def search(uncovered: int, chosen: int) -> int | None:
         if not uncovered:
             return chosen
-        v = uncovered[0]
+        lowest = uncovered & -uncovered
         for c in candidates:
-            if c in chosen or v not in nbrs[c]:
+            # a chosen c has no uncovered neighbour, so it is skipped here too
+            if not adjacency[c] & lowest or adjacency[c] & chosen:
                 continue
-            if any(c in nbrs[d] for d in chosen):
-                continue
-            result = search([u for u in uncovered if u not in nbrs[c]], chosen | {c})
+            result = search(uncovered & ~adjacency[c], chosen | (1 << c))
             if result is not None:
                 return result
         return None
 
-    witness = search(opens, frozenset())
+    witness = search(hypergraph.open_mask, 0)
     if witness is None:
         return None
-    return value, witness
+    return value, hypergraph.vertex_set(witness)
 
 
 def matching_regularity(hypergraph: LabeledHypergraph) -> int | None:
@@ -272,57 +260,38 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     then earlier methods in the fixed registry order.
     """
     hypergraph = build_hypergraph(ideal)
-    results: dict[str, MethodResult] = {}
+    base = hypergraph.label_count - hypergraph.num_vertices
+    dim = dimension(hypergraph)
+    isolated_open = has_isolated_open_vertices(hypergraph)
+    simples = simple_edges(hypergraph)
+    results = {m: MethodResult(m, False) for m in ALL_METHODS}
+
+    def applies(method: str, value: int, witness: dict | None = None) -> None:
+        results[method] = MethodResult(method, True, value, witness)
 
     if is_saturated(hypergraph):
-        results["saturated_formula"] = MethodResult(
-            "saturated_formula", True, saturated_regularity(hypergraph),
-            {"projective_dimension": saturated_projective_dimension(hypergraph)})
-    else:
-        results["saturated_formula"] = MethodResult("saturated_formula", False)
-
+        applies("saturated_formula", base, {"projective_dimension": hypergraph.num_vertices})
     try:
-        results["taylor_bound"] = MethodResult(
-            "taylor_bound", True, taylor_regularity_bound(ideal))
+        applies("taylor_bound", taylor_regularity_bound(ideal))
     except CapExceededError:
-        results["taylor_bound"] = MethodResult("taylor_bound", False)
-
-    if has_isolated_open_vertices(hypergraph):
-        results["isolated_open_bound"] = MethodResult(
-            "isolated_open_bound", True, iso_upper_bound(hypergraph))
-    else:
-        results["isolated_open_bound"] = MethodResult("isolated_open_bound", False)
-
+        pass
+    if isolated_open:
+        applies("isolated_open_bound", base)
     t, fill_set = min_fill_number(hypergraph)
-    results["fill_bound"] = MethodResult(
-        "fill_bound", True, hypergraph.label_count - hypergraph.num_vertices + t,
-        {"t": t, "fill_set": sorted(fill_set)})
-
-    if has_isolated_simple_edges(hypergraph):
-        results["simple_edge_formula"] = MethodResult(
-            "simple_edge_formula", True, simple_edge_regularity(hypergraph),
-            {"simple_edges": sorted(sorted(e) for e in simple_edges(hypergraph))})
-    else:
-        results["simple_edge_formula"] = MethodResult("simple_edge_formula", False)
-
+    applies("fill_bound", base + t, {"t": t, "fill_set": sorted(fill_set)})
+    if _each_open_in_one(hypergraph, simples):
+        applies("simple_edge_formula", base + sum(len(e) - 1 for e in simples),
+                {"simple_edges": sorted(sorted(e) for e in simples)})
     match = None
-    if dimension(hypergraph) == 1:
+    if dim == 1:
         try:
             match = matching_lower_bound(hypergraph)
         except CapExceededError:
             pass
     if match is not None:
-        value, witness = match
-        results["matching_lower"] = MethodResult(
-            "matching_lower", True, value, {"closed_vertices": sorted(witness)})
-        if has_isolated_open_vertices(hypergraph):
-            results["matching_formula"] = MethodResult(
-                "matching_formula", True, value, {"closed_vertices": sorted(witness)})
-        else:
-            results["matching_formula"] = MethodResult("matching_formula", False)
-    else:
-        results["matching_lower"] = MethodResult("matching_lower", False)
-        results["matching_formula"] = MethodResult("matching_formula", False)
+        applies("matching_lower", base, {"closed_vertices": sorted(match[1])})
+        if isolated_open:
+            applies("matching_formula", base, {"closed_vertices": sorted(match[1])})
 
     best_upper = min(
         ((m, results[m].value) for m in UPPER_METHODS if results[m].applicable),
@@ -336,7 +305,7 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     return BoundReport(
         label_count=hypergraph.label_count,
         num_vertices=hypergraph.num_vertices,
-        dim=dimension(hypergraph),
+        dim=dim,
         methods=tuple(results[m] for m in ALL_METHODS),
         best_upper=best_upper,
         best_lower=best_lower,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .monomials import Alphabet, Monomial, MonomialIdeal, minimalize
+from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, minimalize
 
 
 class NotSeparatedError(ValueError):
@@ -46,6 +46,18 @@ class LabeledHypergraph:
             sorted(edge_labels, key=lambda e: (len(e), sorted(e))))
         self.edge_labels: dict[frozenset[int], tuple[str, ...]] = {
             e: tuple(edge_labels[e]) for e in self.edges}
+        index = {v: k for k, v in enumerate(self.vertices)}
+        adjacency = [0] * len(self.vertices)
+        closed = 0
+        for e in self.edges:
+            members = sum(1 << index[v] for v in e)
+            if len(e) == 1:
+                closed |= members
+            for v in e:
+                adjacency[index[v]] |= members
+        self.open_mask: int = ((1 << len(self.vertices)) - 1) & ~closed
+        self.adjacency: tuple[int, ...] = tuple(
+            a & ~(1 << k) for k, a in enumerate(adjacency))
 
     @property
     def label_count(self) -> int:
@@ -58,6 +70,10 @@ class LabeledHypergraph:
 
     def multiplicity(self, edge: frozenset[int]) -> int:
         return len(self.edge_labels[edge])
+
+    def vertex_set(self, mask: int) -> frozenset[int]:
+        """The vertices whose bits are set in ``mask``."""
+        return frozenset(self.vertices[k] for k in _bits(mask))
 
     def vertex_labels(self, v: int) -> tuple[str, ...]:
         return tuple(name for name, image in self.labels.items() if v in image)
@@ -119,30 +135,24 @@ def is_separated(hypergraph: LabeledHypergraph) -> bool:
 
 def closed_vertices(hypergraph: LabeledHypergraph) -> frozenset[int]:
     """Vertices whose singleton is an edge."""
-    edge_set = set(hypergraph.edges)
-    return frozenset(v for v in hypergraph.vertices if frozenset((v,)) in edge_set)
+    return hypergraph.vertex_set(((1 << hypergraph.num_vertices) - 1) & ~hypergraph.open_mask)
 
 
 def open_vertices(hypergraph: LabeledHypergraph) -> frozenset[int]:
-    return frozenset(hypergraph.vertices) - closed_vertices(hypergraph)
+    return hypergraph.vertex_set(hypergraph.open_mask)
 
 
 def neighbors(hypergraph: LabeledHypergraph, v: int) -> frozenset[int]:
     """Vertices sharing some edge with v."""
     if v not in hypergraph.vertices:
         raise ValueError(f"unknown vertex {v}")
-    out: set[int] = set()
-    for e in hypergraph.edges:
-        if v in e:
-            out.update(e)
-    out.discard(v)
-    return frozenset(out)
+    return hypergraph.vertex_set(hypergraph.adjacency[hypergraph.vertices.index(v)])
 
 
 def has_isolated_open_vertices(hypergraph: LabeledHypergraph) -> bool:
     """True iff no two open vertices are adjacent (vacuous when all closed)."""
-    opens = open_vertices(hypergraph)
-    return all(not (neighbors(hypergraph, v) & opens) for v in opens)
+    opens = hypergraph.open_mask
+    return not any(hypergraph.adjacency[k] & opens for k in _bits(opens))
 
 
 def simple_edges(hypergraph: LabeledHypergraph) -> frozenset[frozenset[int]]:
@@ -163,16 +173,16 @@ def has_isolated_simple_edges(hypergraph: LabeledHypergraph) -> bool:
 
     Vacuously true when there is no open vertex.
     """
-    simples = simple_edges(hypergraph)
-    for v in open_vertices(hypergraph):
-        if sum(1 for e in simples if v in e) != 1:
-            return False
-    return True
+    return _each_open_in_one(hypergraph, simple_edges(hypergraph))
+
+
+def _each_open_in_one(hypergraph: LabeledHypergraph, edges: frozenset[frozenset[int]]) -> bool:
+    return all(sum(1 for e in edges if v in e) == 1 for v in open_vertices(hypergraph))
 
 
 def is_saturated(hypergraph: LabeledHypergraph) -> bool:
     """Every vertex closed."""
-    return not open_vertices(hypergraph)
+    return not hypergraph.open_mask
 
 
 def dimension(hypergraph: LabeledHypergraph) -> int:

@@ -624,17 +624,15 @@ def taylor_strand_betti(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> Be
 def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     """True iff no Taylor differential entry is a unit.
 
-    Checks, for every generator subset F and every j in F, that the lcm
-    drops when j is removed.
+    That is the case iff all 2^mu generator subsets have distinct lcms
+    (the empty subset's lcm 1 differs from every other).  A unit entry
+    drops some j from a subset S without changing the lcm, so S and S
+    minus j agree.  Conversely, let F != G have the same lcm L and, after
+    swapping them if needed, let j lie in F but not in G.  Then S = F | G
+    and S minus j both contain G and lie in S, so both have lcm L: the
+    entry of S -> S minus j is a unit.
     """
     mu = ideal.num_generators
     if mu > MAX_TAYLOR_GENERATORS:
         raise CapExceededError(f"Taylor minimality capped at {MAX_TAYLOR_GENERATORS} generators")
-    lcms = _subset_lcms(ideal)
-    for s in range(1 << mu):
-        if s.bit_count() < 2:
-            continue
-        for b in _bits(s):
-            if lcms[s] == lcms[s ^ (1 << b)]:
-                return False
-    return True
+    return len(set(_subset_lcms(ideal))) == 1 << mu

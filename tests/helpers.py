@@ -4,7 +4,8 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
-from hyperreg.hypergraph import LabeledHypergraph
+from hyperreg.bounds import MATCHING_CANDIDATE_CAP
+from hyperreg.hypergraph import LabeledHypergraph, dimension
 from hyperreg.monomials import (
     Alphabet,
     MonomialIdeal,
@@ -13,7 +14,14 @@ from hyperreg.monomials import (
     _support_key,
     parse_ideal,
 )
-from hyperreg.oracle import BettiTable, SimplicialComplex, TaylorComplex, _maximal_masks
+from hyperreg.oracle import (
+    BettiTable,
+    CapExceededError,
+    SimplicialComplex,
+    TaylorComplex,
+    _maximal_masks,
+    _subset_lcms,
+)
 from hyperreg.randgen import variable_names
 
 
@@ -39,6 +47,18 @@ def ideals(draw, max_vars=12, max_gens=12):
     nv = draw(st.integers(1, max_vars))
     masks = draw(st.lists(st.integers(1, (1 << nv) - 1), min_size=1, max_size=max_gens))
     return MonomialIdeal(Alphabet(variable_names(nv)), tuple(_minimal_masks(masks)))
+
+
+@st.composite
+def labeled_hypergraphs(draw, max_vertices=14):
+    """Hypergraphs built by hand: unsorted, non-contiguous vertex ids, edges
+    of at most two or three vertices, and possibly vertices in no edge."""
+    vertices = draw(st.lists(st.integers(0, 99), min_size=1, max_size=max_vertices, unique=True))
+    size = draw(st.integers(2, 3))
+    images = draw(st.lists(
+        st.lists(st.sampled_from(vertices), min_size=1, max_size=size, unique=True),
+        min_size=1, max_size=3 * len(vertices)))
+    return LabeledHypergraph(vertices, {f"x{i:02d}": image for i, image in enumerate(images)})
 
 
 def subset_scan_levels(ideal: MonomialIdeal) -> dict[int, int]:
@@ -186,3 +206,150 @@ def isomorphic(a: LabeledHypergraph, b: LabeledHypergraph) -> bool:
         return False
 
     return backtrack(0, {})
+
+
+def unit_entry_scan(ideal: MonomialIdeal) -> bool:
+    """Reference Taylor minimality: for every generator subset S of size at
+    least two and every j in S, the lcm drops when j is removed."""
+    lcms = _subset_lcms(ideal)
+    for s in range(1 << ideal.num_generators):
+        if s.bit_count() < 2:
+            continue
+        for b in _bits(s):
+            if lcms[s] == lcms[s ^ (1 << b)]:
+                return False
+    return True
+
+
+# Reference hypergraph predicates and searches on frozensets and dicts of
+# sets; the package computes the same sets on vertex bitmasks.
+
+def ref_closed_vertices(hypergraph: LabeledHypergraph) -> frozenset[int]:
+    edge_set = set(hypergraph.edges)
+    return frozenset(v for v in hypergraph.vertices if frozenset((v,)) in edge_set)
+
+
+def ref_open_vertices(hypergraph: LabeledHypergraph) -> frozenset[int]:
+    return frozenset(hypergraph.vertices) - ref_closed_vertices(hypergraph)
+
+
+def ref_neighbors(hypergraph: LabeledHypergraph, v: int) -> frozenset[int]:
+    out: set[int] = set()
+    for e in hypergraph.edges:
+        if v in e:
+            out.update(e)
+    out.discard(v)
+    return frozenset(out)
+
+
+def ref_has_isolated_open_vertices(hypergraph: LabeledHypergraph) -> bool:
+    opens = ref_open_vertices(hypergraph)
+    return all(not (ref_neighbors(hypergraph, v) & opens) for v in opens)
+
+
+def ref_min_fill_number(hypergraph: LabeledHypergraph) -> tuple[int, frozenset[int]]:
+    """Minimum vertex cover of the open-open graph, by branch and bound on a
+    dict of sets that is copied at every node."""
+    opens = sorted(ref_open_vertices(hypergraph))
+    adjacency = {
+        v: set(ref_neighbors(hypergraph, v)) & set(opens) for v in opens}
+    cover = _ref_min_vertex_cover(adjacency)
+    return len(cover), frozenset(cover)
+
+
+def _ref_greedy_cover(adjacency: dict[int, set[int]]) -> set[int]:
+    adj = {v: set(ns) for v, ns in adjacency.items()}
+    cover: set[int] = set()
+    while True:
+        v = max(sorted(adj), key=lambda u: len(adj[u]), default=None)
+        if v is None or not adj[v]:
+            return cover
+        cover.add(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        adj[v] = set()
+
+
+def _ref_matching_lower(adj: dict[int, set[int]]) -> int:
+    matched: set[int] = set()
+    size = 0
+    for v in sorted(adj):
+        if v in matched:
+            continue
+        for u in sorted(adj[v]):
+            if u not in matched:
+                matched.update((v, u))
+                size += 1
+                break
+    return size
+
+
+def _ref_min_vertex_cover(adjacency: dict[int, set[int]]) -> set[int]:
+    best = _ref_greedy_cover(adjacency)
+
+    def search(adj: dict[int, set[int]], chosen: set[int]) -> None:
+        nonlocal best
+        adj = {v: set(ns) for v, ns in adj.items() if ns}
+        # degree-1 reduction: the neighbor of a pendant vertex is always safe
+        while adj:
+            pendant = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
+            if pendant is None:
+                break
+            u = next(iter(adj[pendant]))
+            chosen = chosen | {u}
+            adj = {v: ns - {u} for v, ns in adj.items() if v != u}
+            adj = {v: ns for v, ns in adj.items() if ns}
+        if not adj:
+            if len(chosen) < len(best):
+                best = set(chosen)
+            return
+        if len(chosen) + _ref_matching_lower(adj) >= len(best):
+            return
+        v = max(sorted(adj), key=lambda u: len(adj[u]))
+        taken = {u: ns - {v} for u, ns in adj.items() if u != v}
+        search(taken, chosen | {v})
+        nbrs = adj[v]
+        left = {u: ns - nbrs for u, ns in adj.items() if u != v and u not in nbrs}
+        search(left, chosen | nbrs)
+
+    search(adjacency, set())
+    return best
+
+
+def ref_matching_lower_bound(
+        hypergraph: LabeledHypergraph) -> tuple[int, frozenset[int]] | None:
+    """Matching witness search on sets: candidates in ascending order, each
+    covering the lowest uncovered open vertex."""
+    if dimension(hypergraph) != 1:
+        raise ValueError("matching bound needs a one-dimensional hypergraph")
+    opens = sorted(ref_open_vertices(hypergraph))
+    value = hypergraph.label_count - hypergraph.num_vertices
+    if not opens:
+        return value, frozenset()
+    candidates = sorted(
+        v for v in hypergraph.vertices
+        if frozenset((v,)) in hypergraph.edge_labels
+        and hypergraph.multiplicity(frozenset((v,))) == 1)
+    if len(candidates) > MATCHING_CANDIDATE_CAP:
+        raise CapExceededError(
+            f"matching search capped at {MATCHING_CANDIDATE_CAP} closed vertices")
+    nbrs = {v: ref_neighbors(hypergraph, v) for v in set(candidates) | set(opens)}
+
+    def search(uncovered: list[int], chosen: frozenset[int]) -> frozenset[int] | None:
+        if not uncovered:
+            return chosen
+        v = uncovered[0]
+        for c in candidates:
+            if c in chosen or v not in nbrs[c]:
+                continue
+            if any(c in nbrs[d] for d in chosen):
+                continue
+            result = search([u for u in uncovered if u not in nbrs[c]], chosen | {c})
+            if result is not None:
+                return result
+        return None
+
+    witness = search(opens, frozenset())
+    if witness is None:
+        return None
+    return value, witness

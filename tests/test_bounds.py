@@ -4,7 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from helpers import ideals, subset_scan_levels, word_ideal
+from helpers import (
+    ideals,
+    labeled_hypergraphs,
+    ref_matching_lower_bound,
+    ref_min_fill_number,
+    subset_scan_levels,
+    word_ideal,
+)
 from hyperreg import bounds
 from hyperreg.bounds import (
     ALL_METHODS,
@@ -19,7 +26,13 @@ from hyperreg.bounds import (
     simple_edge_regularity,
     taylor_regularity_bound,
 )
-from hyperreg.hypergraph import build_hypergraph, neighbors, open_vertices
+from hyperreg.hypergraph import (
+    LabeledHypergraph,
+    build_hypergraph,
+    dimension,
+    neighbors,
+    open_vertices,
+)
 from hyperreg.monomials import parse_ideal
 from hyperreg.oracle import GF2, CapExceededError, regularity
 from hyperreg.randgen import max_antichain, random_ideal
@@ -133,6 +146,40 @@ class TestMinFill:
             assert t == exhaustive_fill_number(h)
             assert len(fill_set) == t
             assert fill_set <= open_vertices(h)
+
+
+def assert_searches_match_reference(h):
+    """The mask searches return the very sets the set-based searches return."""
+    assert min_fill_number(h) == ref_min_fill_number(h)
+    if dimension(h) != 1:
+        return
+    try:
+        expected = ref_matching_lower_bound(h)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            matching_lower_bound(h)
+    else:
+        assert matching_lower_bound(h) == expected
+
+
+class TestMaskSearches:
+    def test_hand_built_with_unsorted_ids(self):
+        # open path 3 - 7 - 10 - 12 and the open vertex 5 in no edge; 20 is closed
+        h = LabeledHypergraph([12, 20, 3, 10, 7, 5], {
+            "a": [3, 7], "b": [7, 10], "c": [10, 12], "d": [20], "e": [20, 3], "f": [20, 12]})
+        assert min_fill_number(h) == (2, frozenset({7, 10}))
+        assert matching_lower_bound(h) is None
+        assert_searches_match_reference(h)
+
+    @given(ideals())
+    @settings(max_examples=300, deadline=None)
+    def test_match_reference_on_ideals(self, ideal):
+        assert_searches_match_reference(build_hypergraph(ideal))
+
+    @given(labeled_hypergraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_match_reference_on_hand_built(self, h):
+        assert_searches_match_reference(h)
 
 
 class TestFillBound:

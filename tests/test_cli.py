@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -181,6 +182,39 @@ class TestRandom:
         err = capsys.readouterr().err
         assert err.startswith("error: rejection sampling")
         assert "Traceback" not in err
+
+
+class TestPinnedBytes:
+    """sha256 of stdout for commands whose bytes a refactor must not move;
+    equal under PYTHONHASHSEED 0, 1 and 12345."""
+
+    # one-dimensional; open vertices 1, 2, 3, 6; fill set {1, 3}; matching witness {4, 5}
+    ONE_DIMENSIONAL = "d e k\nc g i j l\nb e j\nc d h k\na b f g\nf i l\n"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["verify-paper", "--json"],
+         "24ffa08af042ce9ebc42eef9e695dc3b93540b5cf0b2b3f398235f1f34c197c0"),
+        (["random", "--vars", "12", "--gens", "10", "--count", "15", "--seed", "3",
+          "--field", "3", "--json"],
+         "3a5059b1ec8495b36de59b49ba9bf460cad083cd4a4fa12135b7949d2a5b8bb2"),
+        (["random", "--vars", "26", "--gens", "20", "--count", "15", "--seed", "3",
+          "--no-oracle", "--json"],
+         "d13ddf13c94de012e4f71cfde7966acc424eebcea1ec8873c8d90fd9629e6d55"),
+    ], ids=["verify-paper", "random-gf3", "random-no-oracle"])
+    def test_command(self, capsys, argv, digest):
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_analyze_one_dimensional(self, capsys, tmp_path):
+        path = tmp_path / "onedim.ideal"
+        path.write_text(self.ONE_DIMENSIONAL)
+        assert cli.main(["analyze", str(path), "--json", "--no-oracle"]) == 0
+        out = capsys.readouterr().out
+        methods = {m["id"]: m for m in json.loads(out)["methods"]}
+        assert methods["fill_bound"]["witness"] == {"t": 2, "fill_set": [1, 3]}
+        assert methods["matching_lower"]["witness"] == {"closed_vertices": [4, 5]}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "838250af7b87417145e53172607b0c00b7a14969f9436f40154687079a8537dd")
 
 
 class TestRender:

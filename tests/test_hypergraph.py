@@ -1,8 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import isomorphic, word_ideal
+from helpers import (
+    ideals,
+    isomorphic,
+    labeled_hypergraphs,
+    ref_closed_vertices,
+    ref_has_isolated_open_vertices,
+    ref_neighbors,
+    ref_open_vertices,
+    word_ideal,
+)
 from hyperreg.hypergraph import (
     LabeledHypergraph,
     NotSeparatedError,
@@ -164,6 +174,40 @@ class TestVertexPredicates:
         # canonical order: 1=ei 2=hk 3=aef 4=bgh 5=cgij 6=dfjk
         h = build_hypergraph(word_ideal("aef bgh ei hk cgij dfjk"))
         assert neighbors(h, 3) == frozenset({1, 6})
+
+
+def assert_predicates_match_reference(h):
+    assert closed_vertices(h) == ref_closed_vertices(h)
+    assert open_vertices(h) == ref_open_vertices(h)
+    assert is_saturated(h) == (not ref_open_vertices(h))
+    assert has_isolated_open_vertices(h) == ref_has_isolated_open_vertices(h)
+    for v in h.vertices:
+        assert neighbors(h, v) == ref_neighbors(h, v)
+
+
+class TestMasks:
+    def test_bit_k_is_the_kth_sorted_vertex(self):
+        # 3 and 10 are closed, 7 is open, 5 lies in no edge (open, isolated)
+        h = LabeledHypergraph([10, 3, 7, 5], {"a": [10], "b": [3, 10], "c": [7, 3], "d": [3]})
+        assert h.vertices == (3, 5, 7, 10)
+        assert h.open_mask == 0b0110
+        assert h.adjacency == (0b1100, 0b0000, 0b0001, 0b0001)
+        assert h.vertex_set(0b1010) == frozenset({5, 10})
+        assert closed_vertices(h) == frozenset({3, 10})
+        assert neighbors(h, 3) == frozenset({7, 10})
+        assert neighbors(h, 5) == frozenset()
+        assert has_isolated_open_vertices(h) and not is_saturated(h)
+        assert_predicates_match_reference(h)
+
+    @given(ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_predicates_match_reference_on_ideals(self, ideal):
+        assert_predicates_match_reference(build_hypergraph(ideal))
+
+    @given(labeled_hypergraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_predicates_match_reference_on_hand_built(self, h):
+        assert_predicates_match_reference(h)
 
 
 class TestIsolatedOpenVertices:

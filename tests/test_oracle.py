@@ -16,6 +16,7 @@ from helpers import (
     subset_scan_levels,
     taylor_rank,
     uncleared_chain_ranks,
+    unit_entry_scan,
     word_ideal,
 )
 from hyperreg import oracle
@@ -26,6 +27,7 @@ from hyperreg.oracle import (
     GF3,
     BettiTable,
     CapExceededError,
+    MAX_TAYLOR_GENERATORS,
     FieldSpec,
     SimplicialComplex,
     _boundary_rank,
@@ -446,6 +448,15 @@ class TestTaylorMinimal:
         for _ in range(60):
             ideal = random_ideal(rng, 6, rng.randint(2, 5))
             assert is_taylor_minimal(ideal) == is_saturated(build_hypergraph(ideal))
+
+    @given(ideals(max_vars=8, max_gens=10))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unit_entry_scan(self, ideal):
+        assert is_taylor_minimal(ideal) == unit_entry_scan(ideal)
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            is_taylor_minimal(parse_ideal("\n".join(variable_names(MAX_TAYLOR_GENERATORS + 1))))
 
 
 class TestDualityCrossCheck:
