@@ -21,7 +21,7 @@ from .hypergraph import (
     simple_edges,
 )
 from .monomials import MonomialIdeal, _bits
-from .oracle import MAX_LATTICE_GENERATORS, CapExceededError, _lattice_levels
+from .oracle import CapExceededError, _lattice_levels
 
 MATCHING_CANDIDATE_CAP = 20
 
@@ -58,8 +58,6 @@ def taylor_regularity_bound(ideal: MonomialIdeal) -> int:
     For each lcm only the smallest F matters, so the maximum is taken over
     the lcm lattice with its levels.
     """
-    if ideal.num_generators > MAX_LATTICE_GENERATORS:
-        raise CapExceededError(f"Taylor bound capped at {MAX_LATTICE_GENERATORS} generators")
     return max(m.bit_count() - level for m, level in _lattice_levels(ideal).items())
 
 
@@ -213,12 +211,19 @@ class MethodResult:
 class BoundReport:
     """All bound methods evaluated on one ideal, plus the tightest of each kind."""
 
-    label_count: int
-    num_vertices: int
+    hypergraph: LabeledHypergraph
     dim: int
     methods: tuple[MethodResult, ...]
     best_upper: tuple[str, int]
     best_lower: tuple[str, int] | None
+
+    @property
+    def label_count(self) -> int:
+        return self.hypergraph.label_count
+
+    @property
+    def num_vertices(self) -> int:
+        return self.hypergraph.num_vertices
 
     def result(self, method: str) -> MethodResult:
         for m in self.methods:
@@ -303,8 +308,7 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
         key=lambda mv: (mv[1], -LOWER_METHODS.index(mv[0]))) if lower_candidates else None
 
     return BoundReport(
-        label_count=hypergraph.label_count,
-        num_vertices=hypergraph.num_vertices,
+        hypergraph=hypergraph,
         dim=dim,
         methods=tuple(results[m] for m in ALL_METHODS),
         best_upper=best_upper,

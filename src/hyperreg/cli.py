@@ -65,6 +65,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _load_ideal(path: str) -> MonomialIdeal:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -73,24 +76,21 @@ def _load_ideal(path: str) -> MonomialIdeal:
     return parse_ideal(text)
 
 
+def _slacks(report: BoundReport, reg: int) -> dict[str, int]:
+    """Each applicable bound's distance from reg; exact formulas count as upper."""
+    return {m.method: m.value - reg if m.method in UPPER_METHODS else reg - m.value
+            for m in report.methods
+            if m.applicable and (m.method in UPPER_METHODS or m.method in LOWER_METHODS)}
+
+
 def _tightness(report: BoundReport, reg: int) -> dict[str, str]:
-    verdicts: dict[str, str] = {}
-    for m in report.methods:
-        if not m.applicable:
-            continue
-        if m.method in UPPER_METHODS:
-            slack = m.value - reg
-        elif m.method in LOWER_METHODS:
-            slack = reg - m.value
-        else:
-            continue
-        verdicts[m.method] = "tight" if slack == 0 else f"slack {slack}"
-    return verdicts
+    return {method: "tight" if slack == 0 else f"slack {slack}"
+            for method, slack in _slacks(report, reg).items()}
 
 
 def _report_text(ideal: MonomialIdeal, report: BoundReport,
                  table: BettiTable | None) -> str:
-    hypergraph = build_hypergraph(ideal)
+    hypergraph = report.hypergraph
     lines = [
         f"ideal: {ideal}",
         f"alphabet: {' '.join(ideal.alphabet.names)}",
@@ -126,7 +126,7 @@ def _report_text(ideal: MonomialIdeal, report: BoundReport,
 def _report_json(ideal: MonomialIdeal, report: BoundReport,
                  table: BettiTable | None) -> dict:
     doc = report.to_json_dict(ideal)
-    doc["hypergraph_detail"] = to_json_dict(build_hypergraph(ideal))
+    doc["hypergraph_detail"] = to_json_dict(report.hypergraph)
     if table is not None:
         doc["oracle"] = table.to_json_dict()
         doc["tightness"] = _tightness(report, table.regularity)
@@ -206,17 +206,13 @@ def cmd_random(args) -> int:
         }
         if use_oracle:
             table = betti_table(ideal, field)
-            record["reg"] = table.regularity
+            reg = record["reg"] = table.regularity
             record["pd"] = table.projective_dimension
-            record["tightness"] = _tightness(report, table.regularity)
-            for m in report.methods:
-                if not m.applicable or m.method not in applicable:
-                    continue
-                applicable[m.method] += 1
-                slack = (m.value - table.regularity if m.method in UPPER_METHODS
-                         else table.regularity - m.value)
-                slack_sum[m.method] += slack
-                tight[m.method] += (slack == 0)
+            record["tightness"] = _tightness(report, reg)
+            for method, slack in _slacks(report, reg).items():
+                applicable[method] += 1
+                slack_sum[method] += slack
+                tight[method] += (slack == 0)
         if args.json:
             print(json.dumps(record, sort_keys=True))
         else:
@@ -262,7 +258,7 @@ def cmd_render(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "verify-paper": cmd_verify_paper,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import bounds as bounds_mod
 from . import hypergraph as hg
 from . import oracle
-from .monomials import MonomialIdeal, alexander_dual, parse_ideal
+from .monomials import Monomial, MonomialIdeal, alexander_dual, parse_ideal
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,9 @@ _KOSZUL_SPOT_MAX_VARS = 12
 
 def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str, object]:
     """Evaluate every check the corpus may reference, deterministically."""
-    hypergraph = hg.build_hypergraph(ideal)
     report = bounds_mod.best_bounds(ideal)
+    hypergraph = report.hypergraph
+    taylor_minimal = oracle.is_taylor_minimal(ideal)
     fields = [oracle.FieldSpec(p) for p in primes]
     tables = {f.characteristic: oracle.betti_table(ideal, f) for f in fields}
     strand_tables = {f.characteristic: oracle.taylor_strand_betti(ideal, f) for f in fields}
@@ -162,7 +163,7 @@ def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str,
         "edges": sorted((sorted(e) for e in hypergraph.edges), key=lambda e: (len(e), e)),
         "open_vertices": sorted(hg.open_vertices(hypergraph)),
         "saturated": hg.is_saturated(hypergraph),
-        "taylor_minimal": oracle.is_taylor_minimal(ideal),
+        "taylor_minimal": taylor_minimal,
         "reg": reg0,
         "pd": tables[primes[0]].projective_dimension,
         "taylor_bound": method("taylor_bound").value,
@@ -184,8 +185,7 @@ def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str,
         "dual_oracle_equal": all(tables[p] == strand_tables[p] for p in primes),
         "reg_char_independent": len(set(regs.values())) == 1,
         "round_trip": hg.ideal_of(hypergraph, ideal.alphabet) == ideal,
-        "taylor_minimal_iff_saturated":
-            oracle.is_taylor_minimal(ideal) == hg.is_saturated(hypergraph),
+        "taylor_minimal_iff_saturated": taylor_minimal == hg.is_saturated(hypergraph),
         "upper_bounds_hold": all(
             method(m).value >= reg0 for m in bounds_mod.UPPER_METHODS
             if method(m).applicable),
@@ -211,7 +211,7 @@ def _koszul_spot(ideal: MonomialIdeal, table: oracle.BettiTable,
     """Cross-check one lattice degree through the public complex interface."""
     if len(ideal.alphabet) > _KOSZUL_SPOT_MAX_VARS:
         return True
-    top = max(oracle.lcm_lattice(ideal), key=lambda m: (m.degree, m.mask))
+    top = Monomial(ideal.alphabet, ideal.variables_used)  # the lattice's maximum
     ranks = oracle.reduced_homology_ranks(
         oracle.upper_koszul(ideal, top), field, precollapse=False)
     for offset, rank in enumerate(ranks):

@@ -454,9 +454,6 @@ class BettiTable:
 
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """All lcms of nonempty generator subsets, deduplicated and sorted."""
-    mu = ideal.num_generators
-    if mu > MAX_LATTICE_GENERATORS:
-        raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
     return tuple(Monomial(ideal.alphabet, m)
                  for m in sorted(_lattice_levels(ideal), key=_support_key))
 
@@ -470,6 +467,8 @@ def _lattice_levels(ideal: MonomialIdeal) -> dict[int, int]:
     mu times the lattice size instead of 2^mu.  Different elements can join
     to the same lcm, and then the smaller level is kept.
     """
+    if ideal.num_generators > MAX_LATTICE_GENERATORS:
+        raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
     levels: dict[int, int] = {}
     for g in ideal.generator_masks:
         for m, level in list(levels.items()):
@@ -512,8 +511,6 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     Degrees are enumerated over the lcm lattice only, where all Betti
     numbers of a monomial ideal live.  Tables are cached per ideal and field.
     """
-    if ideal.num_generators > MAX_LATTICE_GENERATORS:
-        raise CapExceededError(f"Betti table capped at {MAX_LATTICE_GENERATORS} generators")
     gens = ideal.generator_masks
     p = field_spec.characteristic
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -582,16 +579,16 @@ class TaylorComplex:
 
 
 def taylor_complex(ideal: MonomialIdeal) -> TaylorComplex:
-    mu = ideal.num_generators
-    if mu > MAX_TAYLOR_GENERATORS:
-        raise CapExceededError(f"Taylor complex capped at {MAX_TAYLOR_GENERATORS} generators")
     complex_ = TaylorComplex(ideal, tuple(_subset_lcms(ideal)))
     complex_.verify_squares_zero()
     return complex_
 
 
 def _subset_lcms(ideal: MonomialIdeal) -> list[int]:
+    """The lcm of every generator subset, indexed by the subset's bit mask."""
     gens = ideal.generator_masks
+    if len(gens) > MAX_TAYLOR_GENERATORS:
+        raise CapExceededError(f"Taylor complex capped at {MAX_TAYLOR_GENERATORS} generators")
     lcms = [0] * (1 << len(gens))
     for s in range(1, 1 << len(gens)):
         low = s & -s
@@ -608,14 +605,11 @@ def taylor_strand_betti(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> Be
     the strand gives the Betti numbers at b.  It shares only the rank
     kernel with :func:`betti_table`, which it must match entry for entry.
     """
-    mu = ideal.num_generators
-    if mu > MAX_TAYLOR_GENERATORS:
-        raise CapExceededError(f"Taylor strands capped at {MAX_TAYLOR_GENERATORS} generators")
     p = field_spec.characteristic
     lcms = _subset_lcms(ideal)
     strands: dict[int, dict[int, list[int]]] = {}
-    for s in range(1 << mu):
-        strands.setdefault(lcms[s], {}).setdefault(s.bit_count(), []).append(s)
+    for s, m in enumerate(lcms):
+        strands.setdefault(m, {}).setdefault(s.bit_count(), []).append(s)
     entries = {(i, b): rank for b, layers in strands.items()
                for i, rank in _chain_ranks(layers, p).items()}
     return BettiTable(field_spec, ideal.alphabet, entries)
@@ -632,7 +626,5 @@ def is_taylor_minimal(ideal: MonomialIdeal) -> bool:
     and S minus j both contain G and lie in S, so both have lcm L: the
     entry of S -> S minus j is a unit.
     """
-    mu = ideal.num_generators
-    if mu > MAX_TAYLOR_GENERATORS:
-        raise CapExceededError(f"Taylor minimality capped at {MAX_TAYLOR_GENERATORS} generators")
-    return len(set(_subset_lcms(ideal))) == 1 << mu
+    lcms = _subset_lcms(ideal)
+    return len(set(lcms)) == len(lcms)

@@ -13,6 +13,8 @@ import string
 
 from .monomials import Alphabet, MonomialIdeal, _support_key
 
+_MAX_ATTEMPTS = 200_000
+
 
 def variable_names(count: int) -> tuple[str, ...]:
     """Single letters a..z, then z00, z01, ... of one width, sorting after z."""
@@ -27,8 +29,7 @@ def max_antichain(num_vars: int) -> int:
     return math.comb(num_vars, num_vars // 2)
 
 
-def random_ideal(rng: random.Random, num_vars: int, num_gens: int,
-                 max_attempts: int = 200_000) -> MonomialIdeal:
+def random_ideal(rng: random.Random, num_vars: int, num_gens: int) -> MonomialIdeal:
     """Draw a minimally generated ideal with exactly ``num_gens`` generators."""
     if num_vars < 1 or num_gens < 1:
         raise ValueError("need at least one variable and one generator")
@@ -38,7 +39,7 @@ def random_ideal(rng: random.Random, num_vars: int, num_gens: int,
             f"{max_antichain(num_vars)} on {num_vars} variables")
     alphabet = Alphabet(variable_names(num_vars))
     top = 1 << num_vars
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         masks = [rng.randrange(1, top) for _ in range(num_gens)]
         if len(set(masks)) != num_gens:
             continue

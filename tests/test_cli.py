@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperreg import cli
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
+from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet
 from hyperreg.randgen import variable_names
 
@@ -74,7 +79,7 @@ class TestAnalyze:
         path.write_text("\n".join("abcdefghijklmnopqrstu"))  # 21 generators
         assert cli.main(["analyze", str(path)]) == 0
         captured = capsys.readouterr()
-        assert "warning: oracle skipped" in captured.err
+        assert captured.err == "warning: oracle skipped: lcm lattice capped at 20 generators\n"
         assert "fill_bound" in captured.out
         assert "reg=" not in captured.out
 
@@ -200,7 +205,10 @@ class TestPinnedBytes:
         (["random", "--vars", "26", "--gens", "20", "--count", "15", "--seed", "3",
           "--no-oracle", "--json"],
          "d13ddf13c94de012e4f71cfde7966acc424eebcea1ec8873c8d90fd9629e6d55"),
-    ], ids=["verify-paper", "random-gf3", "random-no-oracle"])
+        # text mode: every method applicable somewhere, three with slack in the aggregate
+        (["random", "--vars", "6", "--gens", "3", "--count", "30", "--seed", "3"],
+         "be63d5abfe9cf6efc6a7dca4c17c48c97e096234fe1e7b1389827b4b50033935"),
+    ], ids=["verify-paper", "random-gf3", "random-no-oracle", "random-text"])
     def test_command(self, capsys, argv, digest):
         assert cli.main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -215,6 +223,95 @@ class TestPinnedBytes:
         assert methods["matching_lower"]["witness"] == {"closed_vertices": [4, 5]}
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "838250af7b87417145e53172607b0c00b7a14969f9436f40154687079a8537dd")
+
+    def test_analyze_one_dimensional_text_with_oracle(self, capsys, tmp_path):
+        path = tmp_path / "onedim.ideal"
+        path.write_text(self.ONE_DIMENSIONAL)
+        assert cli.main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "tightness:\n  taylor_bound: slack 1\n" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a84b80757ebb8b3dcf10342b832e84890099ee86f7598c756a19ee89cd733998")
+
+
+class TestOneHypergraph:
+    """Each ideal's hypergraph is built once, by ``best_bounds``, and read
+    from its report by the CLI and the corpus."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        init = LabeledHypergraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LabeledHypergraph, "__init__", counting_init)
+        return calls
+
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--no-oracle"], ["--json", "--no-oracle"]])
+    def test_analyze_builds_once(self, capsys, builds, saturated_file, extra):
+        assert cli.main(["analyze", saturated_file] + extra) == 0
+        assert len(builds) == 1
+
+    def test_corpus_builds_once_per_entry(self, builds):
+        assert verify_corpus(CORPUS, primes=(2,)).ok
+        assert len(builds) == len(CORPUS)
+
+
+_NAMES = ["a", "b", "c", "d", "e", "x1", "y_2", "Z", "9"]
+_JUNK = ["a*b", "-", "é", "a,", "#x", "vars:", "(c)", "x.y"]
+
+
+@st.composite
+def ideal_texts(draw):
+    """Up to eight lines of generators, ``vars:`` lines, comments and blanks,
+    over a few valid names and some tokens the parser must reject."""
+    name = st.sampled_from(_NAMES)
+    token = st.sampled_from(_NAMES * 3 + _JUNK)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        # generators dominate so that about half the texts parse
+        kind = draw(st.sampled_from(["generator"] * 4 + ["tokens", "vars", "comment", "blank"]))
+        if kind == "generator":
+            text = " ".join(draw(st.lists(name, min_size=1, max_size=4, unique=True)))
+        elif kind == "tokens":
+            text = " ".join(draw(st.lists(token, min_size=1, max_size=5)))
+        elif kind == "vars":
+            text = " ".join(["vars:"] + draw(st.lists(token, max_size=3)))
+        elif kind == "comment":
+            text = "#" + draw(st.text(alphabet="ab #*", max_size=6))
+        else:
+            text = ""
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    """Any ideal text ends in exit code 0, 1 or 3, with no traceback, and a
+    rerun prints the same bytes."""
+
+    @given(text=ideal_texts(), field=st.sampled_from(["2", "3"]))
+    @settings(max_examples=60, deadline=None)
+    def test_analyze_and_render(self, tmp_path_factory, text, field):
+        path = tmp_path_factory.mktemp("fuzz") / "input.ideal"
+        path.write_text(text, encoding="utf-8")
+        runs = [["analyze", str(path), "--field", field] + json + oracle
+                for json in ([], ["--json"]) for oracle in ([], ["--no-oracle"])]
+        runs += [["render", str(path), "--format", fmt] for fmt in ("dot", "tikz")]
+        for argv in runs:
+            first = _run(argv)
+            assert first[0] in (0, 1, 3), (argv, first)
+            assert "Traceback" not in first[2]
+            assert _run(argv) == first
 
 
 class TestRender:

@@ -20,6 +20,7 @@ from helpers import (
     word_ideal,
 )
 from hyperreg import oracle
+from hyperreg.bounds import taylor_regularity_bound
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import Alphabet, Monomial, alexander_dual, parse_ideal
 from hyperreg.oracle import (
@@ -27,6 +28,7 @@ from hyperreg.oracle import (
     GF3,
     BettiTable,
     CapExceededError,
+    MAX_LATTICE_GENERATORS,
     MAX_TAYLOR_GENERATORS,
     FieldSpec,
     SimplicialComplex,
@@ -246,6 +248,12 @@ class TestLcmLattice:
         with pytest.raises(CapExceededError):
             lcm_lattice(ideal)
 
+    @given(ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_top_is_lcm_of_all_generators(self, ideal):
+        top = max(lcm_lattice(ideal), key=lambda m: (m.degree, m.mask))
+        assert top.mask == ideal.variables_used
+
 
 class TestLatticeLevels:
     """The incremental closure against a scan of every generator subset."""
@@ -457,6 +465,22 @@ class TestTaylorMinimal:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             is_taylor_minimal(parse_ideal("\n".join(variable_names(MAX_TAYLOR_GENERATORS + 1))))
+
+
+class TestGeneratorCaps:
+    """Each generator cap is enforced by the one scan it bounds, with one message."""
+
+    @pytest.mark.parametrize("compute", [lcm_lattice, betti_table, taylor_regularity_bound])
+    def test_lattice_cap(self, compute):
+        ideal = parse_ideal("\n".join(variable_names(MAX_LATTICE_GENERATORS + 1)))
+        with pytest.raises(CapExceededError, match="^lcm lattice capped at 20 generators$"):
+            compute(ideal)
+
+    @pytest.mark.parametrize("compute", [taylor_complex, taylor_strand_betti, is_taylor_minimal])
+    def test_taylor_cap(self, compute):
+        ideal = parse_ideal("\n".join(variable_names(MAX_TAYLOR_GENERATORS + 1)))
+        with pytest.raises(CapExceededError, match="^Taylor complex capped at 16 generators$"):
+            compute(ideal)
 
 
 class TestDualityCrossCheck:
