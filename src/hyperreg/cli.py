@@ -194,16 +194,9 @@ def cmd_random(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP
         report = best_bounds(ideal)
-        record = {
-            "instance": k,
-            "gens": [list(g.support) for g in ideal.generators],
-            "X": report.label_count,
-            "V": report.num_vertices,
-            "dim": report.dim,
-            "best_upper": {"id": report.best_upper[0], "value": report.best_upper[1]},
-            "best_lower": (None if report.best_lower is None else
-                           {"id": report.best_lower[0], "value": report.best_lower[1]}),
-        }
+        doc = report.to_json_dict(ideal)
+        record = {"instance": k, "gens": doc["ideal"]["gens"], **doc["hypergraph"],
+                  "best_upper": doc["best_upper"], "best_lower": doc["best_lower"]}
         if use_oracle:
             table = betti_table(ideal, field)
             reg = record["reg"] = table.regularity

@@ -167,36 +167,29 @@ def _boundary_rank(rows: list[tuple[int, int]], p: int) -> AbstractSet[int]:
 # Simplicial complexes
 
 class SimplicialComplex:
-    """Finite abstract simplicial complex with explicit faces by dimension.
+    """Finite abstract simplicial complex, stored as its facets.
 
-    Faces are stored as bit masks over ``vertices``; the empty face has
+    ``facets`` holds the maximal antichain of the given vertex masks over
+    ``vertices``; faces are built from it only on demand, by
+    ``faces_by_dim``, capped at ``MAX_COMPLEX_FACES``.  The empty face has
     dimension -1.  A complex with no faces at all is void and carries no
     homology, while the complex whose only face is empty has reduced
     homology of rank 1 in dimension -1.
     """
 
-    def __init__(self, vertices: tuple, faces_by_dim: dict[int, tuple[int, ...]]):
+    def __init__(self, vertices: tuple, facets: Iterable[int]):
         self.vertices = vertices
-        self.faces_by_dim = faces_by_dim
+        self.facets = tuple(_maximal_masks(facets))
 
     @classmethod
     def from_faces(cls, vertices: Iterable, faces: Iterable[Iterable]) -> "SimplicialComplex":
         """Build from explicit faces, validating downward closure."""
-        verts = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(verts)}
-        masks: set[int] = set()
-        for f in faces:
-            mask = 0
-            for v in f:
-                mask |= 1 << index[v]
-            masks.add(mask)
-        if len(masks) > MAX_COMPLEX_FACES:
-            raise CapExceededError(f"complex has more than {MAX_COMPLEX_FACES} faces")
-        for mask in masks:
-            for b in _bits(mask):
-                if mask ^ (1 << b) not in masks:
-                    raise ValueError("face set is not downward closed")
-        return cls(verts, _group_by_dim(masks))
+        faces = [frozenset(f) for f in faces]
+        complex_ = cls.from_facets(vertices, faces)
+        # the faces lie in the closure of their maximal ones, so equal counts mean equal sets
+        if complex_.num_faces != len(set(faces)):
+            raise ValueError("face set is not downward closed")
+        return complex_
 
     @classmethod
     def from_facets(cls, vertices: Iterable, facets: Iterable[Iterable]) -> "SimplicialComplex":
@@ -209,28 +202,25 @@ class SimplicialComplex:
             for v in f:
                 mask |= 1 << index[v]
             facet_masks.append(mask)
-        return cls(verts, _faces_of_facets(_maximal_masks(facet_masks)))
+        return cls(verts, facet_masks)
+
+    @property
+    def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
+        return _faces_of_facets(self.facets)
 
     @property
     def is_void(self) -> bool:
-        return not self.faces_by_dim
+        return not self.facets
 
     @property
     def dim(self) -> int:
         if self.is_void:
             raise ValueError("void complex has no dimension")
-        return max(self.faces_by_dim)
+        return max(f.bit_count() for f in self.facets) - 1
 
     @property
     def num_faces(self) -> int:
         return sum(len(layer) for layer in self.faces_by_dim.values())
-
-
-def _group_by_dim(masks: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    grouped: dict[int, list[int]] = {}
-    for m in masks:
-        grouped.setdefault(m.bit_count() - 1, []).append(m)
-    return {d: tuple(sorted(layer)) for d, layer in sorted(grouped.items())}
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
@@ -274,7 +264,8 @@ def _strong_collapse(facets: list[int]) -> list[int]:
         facets = _maximal_masks([f & ~removed for f in facets])
 
 
-def _faces_of_facets(facets: list[int]) -> dict[int, tuple[int, ...]]:
+def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Every face of the given facets, as sorted masks keyed by dimension."""
     faces: set[int] = set()
     for f in facets:
         sub = f
@@ -285,7 +276,10 @@ def _faces_of_facets(facets: list[int]) -> dict[int, tuple[int, ...]]:
             if sub == 0:
                 break
             sub = (sub - 1) & f
-    return _group_by_dim(faces)
+    grouped: dict[int, list[int]] = {}
+    for m in faces:
+        grouped.setdefault(m.bit_count() - 1, []).append(m)
+    return {d: tuple(sorted(layer)) for d, layer in sorted(grouped.items())}
 
 
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
@@ -367,15 +361,12 @@ def reduced_homology_ranks(
     """
     if complex_.is_void:
         return []
-    top = complex_.dim
+    p = field.characteristic
     if precollapse:
-        flat = [m for layer in complex_.faces_by_dim.values() for m in layer]
-        hom = _union_homology(_maximal_masks(flat), field.characteristic)
+        hom = _union_homology(list(complex_.facets), p)
     else:
-        if complex_.num_faces > MAX_COMPLEX_FACES:
-            raise CapExceededError(f"complex has more than {MAX_COMPLEX_FACES} faces")
-        hom = _chain_ranks(complex_.faces_by_dim, field.characteristic)
-    return [hom.get(d, 0) for d in range(-1, top + 1)]
+        hom = _chain_ranks(complex_.faces_by_dim, p)
+    return [hom.get(d, 0) for d in range(-1, complex_.dim + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +475,12 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
 
     Faces are the variable subsets t of b whose complementary monomial
     (on b minus t) lies in I; equivalently the union of the simplices on
-    b minus supp(g) over generators g dividing b.  Void when the monomial
-    on b is not in I.
+    b minus supp(g) over generators g dividing b, which are the facets
+    returned; no face is built.  Void when the monomial on b is not in I.
     """
     if b.alphabet != ideal.alphabet:
         raise ValueError("degree over a different alphabet")
-    vert_bits = list(_bits(b.mask))
-    local = {bit: i for i, bit in enumerate(vert_bits)}
+    local = {bit: i for i, bit in enumerate(_bits(b.mask))}
     facets = []
     for g in ideal.generator_masks:
         if g & ~b.mask == 0:
@@ -498,10 +488,7 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
             for bit in _bits(b.mask & ~g):
                 mask |= 1 << local[bit]
             facets.append(mask)
-    vertices = ideal.alphabet.names_of(b.mask)
-    if not facets:
-        return SimplicialComplex(vertices, {})
-    return SimplicialComplex(vertices, _faces_of_facets(_maximal_masks(facets)))
+    return SimplicialComplex(ideal.alphabet.names_of(b.mask), facets)
 
 
 @lru_cache(maxsize=8192)

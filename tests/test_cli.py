@@ -11,7 +11,8 @@ from hyperreg import cli
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet
-from hyperreg.randgen import variable_names
+from hyperreg.oracle import TaylorComplex
+from hyperreg.randgen import max_antichain, variable_names
 
 
 @pytest.fixture
@@ -114,6 +115,15 @@ class TestVerifyPaper:
         monkeypatch.setattr(cli, "CORPUS", (bad,))
         assert cli.main(["verify-paper"]) == 2
         assert "expected 3, got 1" in capsys.readouterr().out
+
+    def test_taylor_check_failure_is_reported(self, capsys, monkeypatch):
+        differential = TaylorComplex.differential
+        monkeypatch.setattr(TaylorComplex, "differential", lambda self, subset: [
+            (smaller, 1, q) for smaller, _, q in differential(self, subset)])
+        assert cli.main(["verify-paper"]) == 2
+        out, err = capsys.readouterr()
+        assert ":: taylor_squares_zero: expected True, got False" in out
+        assert "Traceback" not in out + err
 
     def test_perturbed_corpus_api_reports_diff(self):
         bad = CorpusEntry(
@@ -288,6 +298,23 @@ def ideal_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+@st.composite
+def random_argvs(draw):
+    """``random`` arguments: up to nine variables, counts and fields in and
+    out of range, and at three or fewer variables more generators than an
+    antichain holds."""
+    num_vars = draw(st.integers(0, 9))
+    # past three variables rejection sampling can run for seconds before exit 3
+    most_gens = num_vars if num_vars >= 4 else max_antichain(num_vars) + 3
+    field = draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9, 65521, 65537]))
+    argv = ["random", "--vars", str(num_vars),
+            "--gens", str(draw(st.integers(1, most_gens))),
+            "--count", str(draw(st.integers(-1, 4))),
+            "--seed", str(draw(st.integers())), "--field", str(field)]
+    return argv + draw(st.sampled_from([[], ["--json"]])) + draw(
+        st.sampled_from([[], ["--no-oracle"]]))
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -312,6 +339,14 @@ class TestFuzz:
             assert first[0] in (0, 1, 3), (argv, first)
             assert "Traceback" not in first[2]
             assert _run(argv) == first
+
+    @given(argv=random_argvs())
+    @settings(max_examples=600, deadline=None)
+    def test_random(self, argv):
+        first = _run(argv)
+        assert first[0] in (0, 1, 3), (argv, first)
+        assert "Traceback" not in first[2]
+        assert _run(argv) == first
 
 
 class TestRender:

@@ -173,9 +173,19 @@ class TestSimplicialComplex:
         assert has_face(c, ("a", "b"))
         assert not has_face(c, ("a", "c"))
 
+    def test_facets_are_the_maximal_antichain(self):
+        c = SimplicialComplex.from_facets("abc", [("a", "b"), ("a",), ("b", "a"), ("c",)])
+        assert sorted(c.facets) == [0b011, 0b100]
+        assert c.num_faces == 5
+
     def test_face_cap_is_hard_error(self):
-        with pytest.raises(CapExceededError):
-            SimplicialComplex.from_facets(range(17), [tuple(range(17))])
+        # one facet; the cap fires only where its 2^17 faces would be built
+        c = SimplicialComplex.from_facets(range(17), [tuple(range(17))])
+        for build_faces in (lambda: c.faces_by_dim, lambda: c.num_faces,
+                            lambda: reduced_homology_ranks(c, GF2, precollapse=False)):
+            with pytest.raises(CapExceededError):
+                build_faces()
+        assert reduced_homology_ranks(c, GF2) == [0] * 18
 
 
 class TestUpperKoszul:
@@ -203,6 +213,20 @@ class TestUpperKoszul:
         assert len(faces(c, 0)) == 3
         assert c.dim == 0
 
+    def test_collapse_route_passes_the_face_cap(self):
+        # at the top degree of x01, x02...x18: a point beside a 16-simplex
+        names = [f"x{k:02d}" for k in range(1, 19)]
+        ideal = parse_ideal(names[0] + "\n" + " ".join(names[1:]))
+        top = mono(ideal, names)
+        c = upper_koszul(ideal, top)
+        assert c.dim == 16
+        for f in (GF2, GF3):
+            entries = betti_table(ideal, f).entries
+            assert reduced_homology_ranks(c, f) == [0, 1] + [0] * 16 == [
+                entries.get((d + 2, top.mask), 0) for d in range(-1, 17)]
+            with pytest.raises(CapExceededError):
+                reduced_homology_ranks(c, f, precollapse=False)
+
 
 class TestHomologyConventions:
     def test_two_isolated_points(self):
@@ -219,11 +243,11 @@ class TestHomologyConventions:
             assert reduced_homology_ranks(c, f, precollapse=False) == [0, 0, 1]
 
     def test_empty_face_only_complex(self):
-        c = SimplicialComplex((), {-1: (0,)})
+        c = SimplicialComplex((), [0])
         assert reduced_homology_ranks(c, GF2) == [1]
 
     def test_void_complex_has_no_homology(self):
-        c = SimplicialComplex((), {})
+        c = SimplicialComplex((), [])
         assert reduced_homology_ranks(c, GF2) == []
 
     def test_solid_triangle_is_contractible(self):
@@ -529,6 +553,18 @@ def test_collapse_preserves_homology(family):
                 == reduced_homology_ranks(c, f, precollapse=False))
 
 
+@given(ideals(max_vars=10, max_gens=8))
+@settings(max_examples=300, deadline=None)
+def test_complex_routes_match_betti_table(ideal):
+    for f in (GF2, GF3):
+        entries = betti_table(ideal, f).entries
+        for b in lcm_lattice(ideal):
+            c = upper_koszul(ideal, b)
+            expected = [entries.get((d + 2, b.mask), 0) for d in range(-1, c.dim + 1)]
+            for precollapse in (True, False):
+                assert reduced_homology_ranks(c, f, precollapse) == expected
+
+
 def _union(masks):
     out = 0
     for m in masks:
@@ -552,12 +588,26 @@ def test_pass_collapse_matches_restart_reference(family):
 
 @pytest.fixture
 def face_builds(monkeypatch):
-    """Records every facet list that _union_homology expands into faces."""
+    """Records every facet list expanded into faces."""
     calls = []
     original = oracle._faces_of_facets
     monkeypatch.setattr(oracle, "_faces_of_facets",
                         lambda facets: calls.append(facets) or original(facets))
     return calls
+
+
+@pytest.mark.parametrize("text, degree, expected", [
+    ("a b\nb c\nc d", "abcd", [0, 0, 0]),  # a path, whose core is a point
+    ("a\nb\nc", "abc", [0, 0, 1]),  # the boundary of a triangle
+    ("x01\n" + " ".join(f"x{k:02d}" for k in range(2, 19)),
+     [f"x{k:02d}" for k in range(1, 19)], [0, 1] + [0] * 16),  # two points after collapse
+], ids=["point", "triangle-boundary", "point-and-16-simplex"])
+def test_complex_route_builds_no_faces_on_known_cores(face_builds, text, degree, expected):
+    ideal = parse_ideal(text)
+    c = upper_koszul(ideal, mono(ideal, degree))
+    for f in (GF2, GF3):
+        assert reduced_homology_ranks(c, f) == expected
+    assert face_builds == []
 
 
 @pytest.mark.parametrize("k", range(1, 7))
