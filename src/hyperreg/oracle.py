@@ -15,17 +15,27 @@ bit masks (the +1 and the -1 columns) reduced by bit-sliced addition when
 p = 3, and sparse ``{column: residue}`` rows for larger primes.  A boundary
 row has at most |b| nonzero entries, all of them +1 or -1.  Ranks are
 taken from the top dimension down with clearing: a face that the
-differential above pivots on gets no row of its own.  Each divisibility
-complex is first shrunk by deleting dominated vertices in passes (a strong
-collapse, which preserves homotopy type and hence all homology ranks).  A
-core that is a point or the boundary of a simplex has known homology and
-builds no faces; only other cores reach the boundary matrices.  The raw
-no-collapse path is kept and cross-checked by the test suite.
+differential above pivots on gets no row of its own.
+
+Each divisibility complex is first peeled with bit operations on its
+facets.  By the nerve theorem the complex has the homotopy type of the
+nerve of its facets, and the facets that miss a vertex all the others hold
+split off as a suspension (Gasharov-Peeva-Welker, *The lcm-lattice in
+monomial resolutions*; Barmak-Minian, *Strong homotopy types, nerves and
+collapses*).  When every generator dividing b has a variable of b that no
+other divisor has, that settles the degree: beta_{k,b} = 1 for the k
+divisors, as in the Taylor complex, and no other rank there.  Cones
+and a peel that covers the complex give no homology.  What is left is
+shrunk by deleting dominated vertices in passes (a strong collapse, which
+preserves homotopy type and hence all homology ranks).  A core that is a
+point or the boundary of a simplex has known homology and builds no faces;
+only other cores reach the boundary matrices.  The raw no-collapse path is
+kept and cross-checked by the test suite.
 
 The lcm lattice is built as a closure, one generator at a time, recording
 for each element the fewest generators whose lcm it is; the Taylor bound
-reads the same levels.  Only the Taylor-complex routes scan all 2^mu
-generator subsets.
+reads the same levels, from one build per ideal.  Only the Taylor-complex
+routes scan all 2^mu generator subsets.
 """
 
 from __future__ import annotations
@@ -330,15 +340,52 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
 def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     """Reduced homology ranks of the union of the given full simplices.
 
-    ``facets`` must be an antichain.  After the strong collapse, a single
-    facet is a point and n facets of size n - 1 on n vertices are the
-    boundary of a simplex, a sphere of dimension n - 2; anything else goes
-    through the chain complex.
+    ``facets`` must be an antichain.  First the facets are peeled, by the
+    nerve theorem (the union has the homotopy type of the nerve of its
+    facets).  Let P be the facets that miss a vertex every other facet
+    holds, Q the rest, and C the intersection of P.  A set of facets that
+    lacks some f in P shares the vertex only f misses, so the nerve is
+    ``∂Δ_P * Δ_Q ∪ Δ_P * N_Q``, where N_Q is the nerve of the sets f & C
+    over f in Q.  When C is empty the nerve is ``∂Δ_P * Δ_Q``: contractible
+    if Q is nonempty, and a sphere of dimension |P| - 2 if not.  Otherwise
+    Q is nonempty (the facets are no cone) and the nerve is the |P|-fold
+    suspension of N_Q, so the peel shifts the ranks by |P| and goes on with
+    the union of the f & C.  Every round first checks for a cone (a vertex
+    in all facets, which maximalizing the f & C can create), and for the
+    complex whose only face is empty.
+
+    A core left without such facets is strong-collapsed.  After the
+    collapse, a single facet is a point and n facets of size n - 1 on n
+    vertices are the boundary of a simplex, a sphere of dimension n - 2;
+    anything else goes through the chain complex.
     """
-    if not facets:
-        return {}
-    if len(facets) == 1:
-        return {-1: 1} if facets == [0] else {}
+    shift = 0
+    while True:
+        common = -1
+        union = once = twice = 0
+        for f in facets:
+            common &= f
+            union |= f
+            twice |= once & ~f
+            once |= ~f
+        if common:  # void, or a cone
+            return {}
+        if not union:
+            return {shift - 1: 1}
+        private = union & once & ~twice  # vertices missed by one facet only
+        if not private:
+            break
+        meet = -1
+        rest = []
+        for f in facets:
+            if private & ~f:
+                meet &= f
+                shift += 1
+            else:
+                rest.append(f)
+        if not meet:
+            return {} if rest else {shift - 2: 1}
+        facets = _maximal_masks([f & meet for f in rest])
     facets = _strong_collapse(facets)
     n = len(facets)
     if n == 1:
@@ -347,17 +394,18 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     for f in facets:
         union |= f
     if union.bit_count() == n and all(f.bit_count() == n - 1 for f in facets):
-        return {n - 2: 1}
-    return _chain_ranks(_faces_of_facets(facets), p)
+        return {n - 2 + shift: 1}
+    return {d + shift: r for d, r in _chain_ranks(_faces_of_facets(facets), p).items()}
 
 
 def reduced_homology_ranks(
         complex_: SimplicialComplex, field: FieldSpec, precollapse: bool = True) -> list[int]:
     """Ranks of reduced homology over GF(p), listed for dimensions -1..dim.
 
-    With ``precollapse`` the complex is first strong-collapsed (same
-    homotopy type, hence same ranks); without it the boundary matrices of
-    the complex are eliminated as given.
+    With ``precollapse`` the complex is first peeled and strong-collapsed
+    as ``betti_table`` does (a known suspension of the same homotopy type,
+    so the ranks shift by a known amount); without it the boundary matrices
+    of the complex are eliminated as given.
     """
     if complex_.is_void:
         return []
@@ -449,7 +497,8 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
                  for m in sorted(_lattice_levels(ideal), key=_support_key))
 
 
-def _lattice_levels(ideal: MonomialIdeal) -> dict[int, int]:
+@lru_cache(maxsize=1)
+def _lattice_levels(ideal: MonomialIdeal) -> Mapping[int, int]:
     """Every lcm of a nonempty generator subset, mapped to the fewest
     generators whose lcm it is.
 
@@ -457,6 +506,9 @@ def _lattice_levels(ideal: MonomialIdeal) -> dict[int, int]:
     so far reaches every new lcm, at one level more, so the work is at most
     mu times the lattice size instead of 2^mu.  Different elements can join
     to the same lcm, and then the smaller level is kept.
+
+    The last ideal's lattice is kept, read-only, so that the Taylor bound
+    and the Betti tables of one ideal share a single build.
     """
     if ideal.num_generators > MAX_LATTICE_GENERATORS:
         raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
@@ -467,7 +519,7 @@ def _lattice_levels(ideal: MonomialIdeal) -> dict[int, int]:
             if levels.get(joined, level + 2) > level + 1:
                 levels[joined] = level + 1
         levels[g] = 1
-    return levels
+    return MappingProxyType(levels)
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:

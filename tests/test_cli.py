@@ -11,7 +11,7 @@ from hyperreg import cli
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet
-from hyperreg.oracle import TaylorComplex
+from hyperreg.oracle import TaylorComplex, _lattice_levels, betti_table
 from hyperreg.randgen import max_antichain, variable_names
 
 
@@ -268,6 +268,34 @@ class TestOneHypergraph:
     def test_corpus_builds_once_per_entry(self, builds):
         assert verify_corpus(CORPUS, primes=(2,)).ok
         assert len(builds) == len(CORPUS)
+
+
+class TestOneLattice:
+    """Each ideal's lcm lattice is built once and shared by the Taylor bound
+    of ``best_bounds`` and the oracle's Betti tables."""
+
+    @pytest.fixture
+    def builds(self):
+        # a table cached by an earlier test would skip its lattice read
+        betti_table.cache_clear()
+        _lattice_levels.cache_clear()
+        return lambda: _lattice_levels.cache_info().misses
+
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--field", "3"]])
+    def test_analyze_builds_once(self, capsys, builds, saturated_file, extra):
+        assert cli.main(["analyze", saturated_file] + extra) == 0
+        assert builds() == 1
+
+    def test_random_builds_once_per_ideal(self, capsys, builds):
+        assert cli.main(["random", "--vars", "6", "--gens", "4", "--count", "5",
+                         "--seed", "3", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len({json.dumps(r["gens"]) for r in records}) == 5
+        assert builds() == 5
+
+    def test_corpus_builds_once_per_entry(self, builds):
+        assert verify_corpus(CORPUS).ok
+        assert builds() == len(CORPUS)
 
 
 _NAMES = ["a", "b", "c", "d", "e", "x1", "y_2", "Z", "9"]

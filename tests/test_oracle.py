@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -298,6 +298,14 @@ class TestLatticeLevels:
         assert levels == subset_scan_levels(ideal)
         assert max(m.bit_count() - k for m, k in levels.items()) == 4
 
+    def test_cached_levels_are_read_only(self):
+        ideal = parse_ideal(self.COLLISION)
+        levels = _lattice_levels(ideal)
+        with pytest.raises(TypeError):
+            levels[0b1000] = 9
+        assert _lattice_levels(ideal) == subset_scan_levels(ideal)
+        assert taylor_regularity_bound(ideal) == 4
+
 
 class TestBettiTable:
     def test_koszul_complex_of_two_variables(self):
@@ -458,6 +466,12 @@ class TestTaylorStrands:
             ideal = random_ideal(rng, 12, 10)
             assert taylor_strand_betti(ideal, GF5) == betti_table(ideal, GF5)
 
+    @given(ideals())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_on_drawn_ideals(self, ideal):
+        for f in (GF2, GF3, GF5):
+            assert taylor_strand_betti(ideal, f) == betti_table(ideal, f)
+
     def test_triangle_entries_identical_across_characteristics(self):
         ideal = word_ideal("ab ac bc")
         assert betti_table(ideal, GF2).entries == betti_table(ideal, GF3).entries
@@ -573,6 +587,19 @@ def _union(masks):
 
 
 @given(facet_families(max_vertices=9, max_facets=10))
+@example((1, [0]))  # only the empty face
+@example((3, [0b011, 0b101]))  # a cone
+@example((5, [0b10001, 0b01100, 0b00101, 0b00110]))  # a cone after one peel
+@settings(max_examples=500, deadline=None)
+def test_peel_matches_chain_complex(family):
+    _, facets = family
+    facets = _maximal_masks(facets)
+    layers = _faces_of_facets(facets)
+    for p in (2, 3, 5):
+        assert _union_homology(facets, p) == _chain_ranks(layers, p)
+
+
+@given(facet_families(max_vertices=9, max_facets=10))
 @settings(max_examples=300, deadline=None)
 def test_pass_collapse_matches_restart_reference(family):
     _, facets = family
@@ -596,18 +623,52 @@ def face_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def collapses(monkeypatch):
+    """Records every facet list handed to the strong collapse."""
+    calls = []
+    original = oracle._strong_collapse
+    monkeypatch.setattr(oracle, "_strong_collapse",
+                        lambda facets: calls.append(facets) or original(facets))
+    return calls
+
+
 @pytest.mark.parametrize("text, degree, expected", [
-    ("a b\nb c\nc d", "abcd", [0, 0, 0]),  # a path, whose core is a point
+    ("a b\nb c\nc d", "abcd", [0, 0, 0]),  # a path: its two end facets cover it
     ("a\nb\nc", "abc", [0, 0, 1]),  # the boundary of a triangle
     ("x01\n" + " ".join(f"x{k:02d}" for k in range(2, 19)),
-     [f"x{k:02d}" for k in range(1, 19)], [0, 1] + [0] * 16),  # two points after collapse
-], ids=["point", "triangle-boundary", "point-and-16-simplex"])
-def test_complex_route_builds_no_faces_on_known_cores(face_builds, text, degree, expected):
+     [f"x{k:02d}" for k in range(1, 19)], [0, 1] + [0] * 16),  # two points
+    # every divisor of the degree has a variable no other divisor has
+    ("a b\nb c d\nd e", "abcde", [0, 0, 1, 0]),
+    # the facet missing p is peeled, which leaves two points
+    ("p x\nx y\ny z\nx z", "pxyz", [0, 0, 1]),
+    # the facet a is peeled, and no other facet meets it
+    ("b c d\na d\na c", "abcd", [0, 1, 0]),
+    # the facet a e is peeled, and the rest cut down to it is the cone a:
+    # the facets 0b10001, 0b01100, 0b00101, 0b00110 need a cone check each round
+    ("b c d\na b e\nb d e\na d e", "abcde", [0, 0, 0]),
+], ids=["point", "triangle-boundary", "point-and-16-simplex",
+        "taylor-degree", "peel-then-two-points", "peel-to-empty-face", "peel-to-cone"])
+def test_complex_route_builds_no_faces_on_known_cores(
+        face_builds, collapses, text, degree, expected):
     ideal = parse_ideal(text)
     c = upper_koszul(ideal, mono(ideal, degree))
-    for f in (GF2, GF3):
+    for f in (GF2, GF3, GF5):
         assert reduced_homology_ranks(c, f) == expected
     assert face_builds == []
+    assert collapses == []
+
+
+@pytest.mark.parametrize("facets, expected", [
+    ([0b11, 0b1001, 0b10010, 0b10100], {}),  # the path d a b e c
+    ([0b10101, 0b11000, 0b1001, 0b110], {1: 1}),  # a circle with a triangle and an edge on it
+], ids=["point", "circle"])
+def test_collapsed_cores_exit_without_faces(face_builds, collapses, facets, expected):
+    # every vertex is missed by two facets or more, so nothing is peeled
+    for p in (2, 3, 5):
+        assert _union_homology(facets, p) == expected
+    assert face_builds == []
+    assert len(collapses) == 3
 
 
 @pytest.mark.parametrize("k", range(1, 7))
