@@ -28,9 +28,12 @@ divisors, as in the Taylor complex, and no other rank there.  Cones
 and a peel that covers the complex give no homology.  What is left is
 shrunk by deleting dominated vertices in passes (a strong collapse, which
 preserves homotopy type and hence all homology ranks).  A core that is a
-point or the boundary of a simplex has known homology and builds no faces;
-only other cores reach the boundary matrices.  The raw no-collapse path is
-kept and cross-checked by the test suite.
+point or the boundary of a simplex has known homology and builds no faces.
+Other cores reach the boundary matrices relative to the closed star of a
+vertex v, a cone, so H~(K) = H(K, st v) and only the faces outside the
+star get a basis element (Mrozek-Pilarczyk-Zelazna, *Homology algorithm
+based on acyclic subspace*).  The raw no-collapse path eliminates the
+whole complex, and is kept and cross-checked by the test suite.
 
 The lcm lattice is built as a closure, one generator at a time, recording
 for each element the fewest generators whose lcm it is; the Taylor bound
@@ -274,8 +277,8 @@ def _strong_collapse(facets: list[int]) -> list[int]:
         facets = _maximal_masks([f & ~removed for f in facets])
 
 
-def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Every face of the given facets, as sorted masks keyed by dimension."""
+def _face_set(facets: Iterable[int]) -> set[int]:
+    """Every face of the given facets, as masks, capped at ``MAX_COMPLEX_FACES``."""
     faces: set[int] = set()
     for f in facets:
         sub = f
@@ -286,10 +289,28 @@ def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
             if sub == 0:
                 break
             sub = (sub - 1) & f
+    return faces
+
+
+def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Every face of the given facets, as sorted masks keyed by dimension."""
     grouped: dict[int, list[int]] = {}
-    for m in faces:
+    for m in _face_set(facets):
         grouped.setdefault(m.bit_count() - 1, []).append(m)
     return {d: tuple(sorted(layer)) for d, layer in sorted(grouped.items())}
+
+
+def _outside_star(facets: list[int], bit: int) -> dict[int, tuple[int, ...]]:
+    """The faces of the union of ``facets`` outside the closed star of the
+    vertex ``bit``, as sorted masks keyed by dimension.
+
+    A face lies in the star when it lies in a facet holding the vertex, so
+    the faces outside are those of the facets missing it that lie in no
+    link facet ``f & ~bit``.
+    """
+    layers = _faces_of_facets([f for f in facets if not f & bit])
+    link = _face_set(f ^ bit for f in facets if f & bit)
+    return {d: tuple(m for m in layer if m not in link) for d, layer in layers.items()}
 
 
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
@@ -298,8 +319,10 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     The differential sends a mask to the alternating sum of the masks one
     bit smaller, keeping those present in ``layers[d - 1]``.  On the faces of
     a downward-closed complex, keyed by dimension, this is the reduced
-    simplicial chain complex; on a Taylor strand, keyed by subset size, it
-    is the strand's differential.
+    simplicial chain complex; on the faces of a complex outside a
+    subcomplex, the relative chain complex, since the dropped terms are
+    those of the subcomplex; on a Taylor strand, keyed by subset size, it is
+    the strand's differential.
 
     Ranks are taken from the top down, and a d-mask that is a pivot column
     of the differential on ``layers[d + 1]`` gets no row (clearing): the
@@ -357,7 +380,8 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     A core left without such facets is strong-collapsed.  After the
     collapse, a single facet is a point and n facets of size n - 1 on n
     vertices are the boundary of a simplex, a sphere of dimension n - 2;
-    anything else goes through the chain complex.
+    anything else goes through the chain complex relative to the closed
+    star of the vertex in the most facets, the lowest on a tie.
     """
     shift = 0
     while True:
@@ -395,7 +419,8 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
         union |= f
     if union.bit_count() == n and all(f.bit_count() == n - 1 for f in facets):
         return {n - 2 + shift: 1}
-    return {d + shift: r for d, r in _chain_ranks(_faces_of_facets(facets), p).items()}
+    star = max(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets))
+    return {d + shift: r for d, r in _chain_ranks(_outside_star(facets, 1 << star), p).items()}
 
 
 def reduced_homology_ranks(

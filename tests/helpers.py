@@ -104,7 +104,7 @@ def dense_boundary(layers, d: int) -> list[list[int]]:
     rows = []
     for m in layers.get(d, ()):
         row = [0] * len(below)
-        for k, v in enumerate(_bits(m)):
+        for k, v in enumerate(j for j in range(m.bit_length()) if m >> j & 1):
             smaller = m ^ (1 << v)
             if smaller in below:
                 row[below.index(smaller)] = -1 if k % 2 else 1
@@ -122,6 +122,29 @@ def uncleared_chain_ranks(layers, p: int) -> dict[int, int]:
         if r:
             ranks[d] = r
     return ranks
+
+
+def hochster_betti(ideal: MonomialIdeal, p: int) -> dict[tuple[int, int], int]:
+    """Reference Betti table of R/I over GF(p) by Hochster's formula.
+
+    beta_{i,b} = dim H~_{|b|-i-1}(Delta|_b) for every set b of variables,
+    where Delta, the Stanley-Reisner complex of I, holds the variable sets
+    that contain no generator, and Delta|_b its faces inside b.  Only the
+    generator masks and the number of variables are read from the package.
+    """
+    n = len(ideal.alphabet)
+    assert n <= 8, "the Hochster oracle scans every subset of the variables"
+    gens = ideal.generator_masks
+    delta = [s for s in range(1 << n) if all(g & ~s for g in gens)]
+    table = {}
+    for b in range(1 << n):
+        layers: dict[int, list[int]] = {}
+        for s in delta:
+            if s & ~b == 0:
+                layers.setdefault(s.bit_count() - 1, []).append(s)
+        for d, rank in uncleared_chain_ranks(layers, p).items():
+            table[(b.bit_count() - d - 1, b)] = rank
+    return table
 
 
 def faces(complex_: SimplicialComplex, dim: int) -> tuple[frozenset, ...]:

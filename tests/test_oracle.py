@@ -11,6 +11,7 @@ from helpers import (
     dense_rank,
     faces,
     has_face,
+    hochster_betti,
     ideals,
     restart_strong_collapse,
     subset_scan_levels,
@@ -22,7 +23,7 @@ from helpers import (
 from hyperreg import oracle
 from hyperreg.bounds import taylor_regularity_bound
 from hyperreg.hypergraph import build_hypergraph, is_saturated
-from hyperreg.monomials import Alphabet, Monomial, alexander_dual, parse_ideal
+from hyperreg.monomials import Alphabet, Monomial, _bits, alexander_dual, parse_ideal
 from hyperreg.oracle import (
     GF2,
     GF3,
@@ -37,6 +38,7 @@ from hyperreg.oracle import (
     _faces_of_facets,
     _lattice_levels,
     _maximal_masks,
+    _outside_star,
     _rank_sparse,
     _strong_collapse,
     _subset_lcms,
@@ -705,6 +707,72 @@ def test_equal_sized_facets_off_a_simplex_boundary(face_builds):
     assert len(face_builds) == 2
 
 
+# the 6-vertex real projective plane: H_1 and H_2 are GF(2) only
+RP2 = [sum(1 << int(v) - 1 for v in t) for t in "123 134 145 156 162 235 346 452 563 624".split()]
+
+
+@pytest.fixture
+def chain_bases(monkeypatch):
+    """Records how many basis elements each chain complex handed to the ranks has."""
+    counts = []
+    original = oracle._chain_ranks
+    monkeypatch.setattr(oracle, "_chain_ranks", lambda layers, p: counts.append(
+        sum(len(layer) for layer in layers.values())) or original(layers, p))
+    return counts
+
+
+@pytest.mark.parametrize("facets, expected, full, outside", [
+    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, 9),
+    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, 10),
+], ids=["octahedron", "rp2"])
+def test_vertex_star_is_excised_before_the_ranks(chain_bases, facets, expected, full, outside):
+    # neither core peels or collapses; vertex 0 lies in the most facets, and
+    # only the faces outside its closed star reach the boundary matrices
+    assert sorted(_strong_collapse(facets)) == sorted(facets)
+    assert sum(len(layer) for layer in _faces_of_facets(facets).values()) == full
+    for p in (2, 3, 5):
+        assert _union_homology(facets, p) == expected[p]
+    assert chain_bases == [outside] * 3
+    assert outside < full
+
+
+@given(facet_families(max_vertices=9, max_facets=10))
+@settings(max_examples=300, deadline=None)
+def test_excising_any_vertex_star_keeps_the_ranks(family):
+    # the closed star of a vertex is a cone, so H~(K) = H(K, st v) for every v
+    _, facets = family
+    facets = _maximal_masks(facets)
+    layers = _faces_of_facets(facets)
+    for v in _bits(_union(facets)):
+        relative = _outside_star(facets, 1 << v)
+        for p in (2, 3, 5):
+            assert _chain_ranks(relative, p) == _chain_ranks(layers, p)
+
+
+def cross_polytope(pairs):
+    """Facets of the boundary of the cross-polytope, a sphere of dimension
+    pairs - 1: one vertex from each antipodal pair {2k, 2k + 1}."""
+    facets = [0]
+    for k in range(pairs):
+        facets = [f | 1 << (2 * k + s) for f in facets for s in (0, 1)]
+    return facets
+
+
+def test_face_cap_is_met_outside_the_vertex_star():
+    # 3^10 faces, of which the facets missing a vertex have 2 * 3^9
+    for p in (2, 3):
+        assert _union_homology(cross_polytope(10), p) == {9: 1}
+    # 2 * 3^10 faces of the facets missing a vertex pass the cap
+    with pytest.raises(CapExceededError):
+        _union_homology(cross_polytope(11), 2)
+
+
+def test_link_enumeration_is_capped():
+    # the facets missing the vertex have two faces, its link 2^17
+    with pytest.raises(CapExceededError):
+        _outside_star([(1 << 18) - 1, 1 << 18], 1)
+
+
 PRIMES = (2, 3, 5, 65521)
 
 
@@ -715,6 +783,24 @@ def test_clearing_matches_uncleared_reference_on_complexes(family):
     layers = _faces_of_facets(facets)
     for p in PRIMES:
         assert _chain_ranks(layers, p) == uncleared_chain_ranks(layers, p)
+
+
+@given(facet_families())
+@settings(max_examples=100, deadline=None)
+def test_clearing_matches_uncleared_reference_on_relative_complexes(family):
+    _, facets = family
+    facets = _maximal_masks(facets)
+    for v in _bits(_union(facets)):
+        relative = _outside_star(facets, 1 << v)
+        for p in PRIMES:
+            assert _chain_ranks(relative, p) == uncleared_chain_ranks(relative, p)
+
+
+@given(ideals(max_vars=8, max_gens=8))
+@settings(max_examples=100, deadline=None)
+def test_betti_table_matches_hochster_formula(ideal):
+    for p in (2, 3, 5):
+        assert dict(betti_table(ideal, FieldSpec(p)).entries) == hochster_betti(ideal, p)
 
 
 def test_clearing_matches_uncleared_reference_on_taylor_strands():
