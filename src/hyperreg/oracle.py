@@ -27,13 +27,21 @@ other divisor has, that settles the degree: beta_{k,b} = 1 for the k
 divisors, as in the Taylor complex, and no other rank there.  Cones
 and a peel that covers the complex give no homology.  What is left is
 shrunk by deleting dominated vertices in passes (a strong collapse, which
-preserves homotopy type and hence all homology ranks).  A core that is a
-point or the boundary of a simplex has known homology and builds no faces.
-Other cores reach the boundary matrices relative to the closed star of a
-vertex v, a cone, so H~(K) = H(K, st v) and only the faces outside the
-star get a basis element (Mrozek-Pilarczyk-Zelazna, *Homology algorithm
-based on acyclic subspace*).  The raw no-collapse path eliminates the
-whole complex, and is kept and cross-checked by the test suite.
+preserves homotopy type and hence all homology ranks).  A core that is the
+boundary of a simplex is a sphere and builds no faces.  Otherwise a core
+on at most 16 vertices (so under the face cap) is matched: with its faces
+as one bit per vertex subset, element matchings pair a face with the face
+one vertex larger, for each vertex in turn, the first being v, the vertex
+in the most facets.  They are acyclic (Jonsson, *Simplicial Complexes of
+Graphs*) and every incidence is +1 or -1, so the unmatched, critical
+cells carry a Morse complex with the same integral homology (Forman,
+*Morse theory for cell complexes*); when no two adjacent dimensions hold
+critical cells, their counts are the ranks.  Other cores reach the
+boundary matrices relative to the closed star of v, a cone, so H~(K) =
+H(K, st v) and only the faces outside the star get a basis element
+(Mrozek-Pilarczyk-Zelazna, *Homology algorithm based on acyclic
+subspace*); the first matching is that excision.  The raw no-collapse path
+eliminates the whole complex, and is kept and cross-checked by the tests.
 
 The lcm lattice is built as a closure, one generator at a time, recording
 for each element the fewest generators whose lcm it is; the Taylor bound
@@ -43,6 +51,7 @@ routes scan all 2^mu generator subsets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -237,10 +246,12 @@ class SimplicialComplex:
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
-    ordered = sorted(set(masks), key=lambda m: -m.bit_count())
     kept: list[int] = []
-    for m in ordered:
-        if not any(m & ~k == 0 for k in kept):
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in kept:
+            if m | k == k:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -313,6 +324,35 @@ def _outside_star(facets: list[int], bit: int) -> dict[int, tuple[int, ...]]:
     return {d: tuple(m for m in layer if m not in link) for d, layer in layers.items()}
 
 
+@lru_cache(maxsize=None)
+def _subsets_holding(n: int) -> tuple[int, ...]:
+    """For each j < n, the 2^n-bit mask of the subsets of range(n) holding j."""
+    if n == 0:
+        return ()
+    half = 1 << (n - 1)
+    return tuple(h | h << half for h in _subsets_holding(n - 1)) + (((1 << half) - 1) << half,)
+
+
+def _critical_cells(facets: list[int], order: list[int]) -> dict[int, int]:
+    """Critical cells by dimension of the element matchings, for the
+    vertices in ``order`` one after another, on the faces of ``facets``.
+
+    Vertex order[j] becomes bit j, and the faces, the empty one included,
+    the set bits of one 2^n-bit int.  The matching for j pairs each
+    unmatched face s missing j with s + j when that is unmatched too.
+    """
+    has = _subsets_holding(len(order))
+    cells = 0
+    for f in facets:
+        cells |= 1 << sum((f >> v & 1) << j for j, v in enumerate(order))
+    for j, h in enumerate(has):  # downward closure
+        cells |= (cells & h) >> (1 << j)
+    for j, h in enumerate(has):
+        m = cells & ~h & (cells & h) >> (1 << j)
+        cells &= ~(m | m << (1 << j))
+    return Counter(s.bit_count() - 1 for s in _bits(cells))
+
+
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     """Homology ranks over GF(p) of the chain complex with basis ``layers[d]``.
 
@@ -378,10 +418,15 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     complex whose only face is empty.
 
     A core left without such facets is strong-collapsed.  After the
-    collapse, a single facet is a point and n facets of size n - 1 on n
-    vertices are the boundary of a simplex, a sphere of dimension n - 2;
-    anything else goes through the chain complex relative to the closed
-    star of the vertex in the most facets, the lowest on a tie.
+    collapse, n facets of size n - 1 on n vertices are the boundary of a
+    simplex, a sphere of dimension n - 2.  With the vertices by falling
+    facet count, the lowest on a tie, a core on n vertices with 2^n <=
+    ``MAX_COMPLEX_FACES`` is settled when its element matchings leave
+    critical cells in no two adjacent dimensions: the Morse complex then
+    has no differential (Jonsson, *Simplicial Complexes of Graphs*;
+    Forman, *Morse theory for cell complexes*).  Anything else, such as
+    torsion, goes through the chain complex relative to the closed star of
+    the first vertex.
     """
     shift = 0
     while True:
@@ -412,15 +457,17 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
         facets = _maximal_masks([f & meet for f in rest])
     facets = _strong_collapse(facets)
     n = len(facets)
-    if n == 1:
-        return {}
     union = 0
     for f in facets:
         union |= f
     if union.bit_count() == n and all(f.bit_count() == n - 1 for f in facets):
         return {n - 2 + shift: 1}
-    star = max(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets))
-    return {d + shift: r for d, r in _chain_ranks(_outside_star(facets, 1 << star), p).items()}
+    order = sorted(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets), reverse=True)
+    if 1 << len(order) <= MAX_COMPLEX_FACES:
+        critical = _critical_cells(facets, order)
+        if all(d + 1 not in critical for d in critical):
+            return {d + shift: c for d, c in critical.items()}
+    return {d + shift: r for d, r in _chain_ranks(_outside_star(facets, 1 << order[0]), p).items()}
 
 
 def reduced_homology_ranks(

@@ -35,6 +35,7 @@ from hyperreg.oracle import (
     SimplicialComplex,
     _boundary_rank,
     _chain_ranks,
+    _critical_cells,
     _faces_of_facets,
     _lattice_levels,
     _maximal_masks,
@@ -688,12 +689,13 @@ def test_simplex_boundary_exits_without_faces(face_builds, k):
 OCTAHEDRON = [(1 << a) | (1 << b) | (1 << c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
 
 
-def test_octahedron_goes_through_chain_complex(face_builds):
+def test_octahedron_settles_by_element_matchings(face_builds, chain_bases):
     facets = OCTAHEDRON
     assert sorted(_strong_collapse(facets)) == sorted(facets)
     for p in (2, 3):
         assert _union_homology(facets, p) == {2: 1}
-    assert len(face_builds) == 2
+    assert face_builds == []
+    assert chain_bases == []
 
 
 def test_equal_sized_facets_off_a_simplex_boundary(face_builds):
@@ -704,7 +706,7 @@ def test_equal_sized_facets_off_a_simplex_boundary(face_builds):
     assert sorted(_strong_collapse(facets)) == sorted(facets)
     for p in (2, 3):
         assert _union_homology(facets, p) == {1: 3}
-    assert len(face_builds) == 2
+    assert face_builds == []
 
 
 # the 6-vertex real projective plane: H_1 and H_2 are GF(2) only
@@ -721,19 +723,22 @@ def chain_bases(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("facets, expected, full, outside", [
-    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, 9),
-    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, 10),
+@pytest.mark.parametrize("facets, expected, full, bases", [
+    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, []),
+    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, [10] * 3),
 ], ids=["octahedron", "rp2"])
-def test_vertex_star_is_excised_before_the_ranks(chain_bases, facets, expected, full, outside):
+def test_vertex_star_is_excised_before_the_ranks(chain_bases, facets, expected, full, bases):
     # neither core peels or collapses; vertex 0 lies in the most facets, and
-    # only the faces outside its closed star reach the boundary matrices
+    # the first element matching pairs off its closed star.  The octahedron
+    # then settles by the matchings; RP^2 has torsion, so critical cells are left in
+    # dimensions 1 and 2, and only its faces outside the star reach the
+    # boundary matrices
     assert sorted(_strong_collapse(facets)) == sorted(facets)
     assert sum(len(layer) for layer in _faces_of_facets(facets).values()) == full
     for p in (2, 3, 5):
         assert _union_homology(facets, p) == expected[p]
-    assert chain_bases == [outside] * 3
-    assert outside < full
+    assert chain_bases == bases
+    assert all(b < full for b in bases)
 
 
 @given(facet_families(max_vertices=9, max_facets=10))
@@ -747,6 +752,82 @@ def test_excising_any_vertex_star_keeps_the_ranks(family):
         relative = _outside_star(facets, 1 << v)
         for p in (2, 3, 5):
             assert _chain_ranks(relative, p) == _chain_ranks(layers, p)
+
+
+@st.composite
+def ordered_families(draw):
+    """An antichain of facets, and an order of the vertices of its union."""
+    _, facets = draw(facet_families(max_vertices=9, max_facets=10))
+    facets = _maximal_masks(facets)
+    return facets, draw(st.permutations(list(_bits(_union(facets)))))
+
+
+@given(ordered_families())
+@example(([0], []))  # only the empty face
+@example((OCTAHEDRON, list(range(6))))
+@settings(max_examples=300, deadline=None)
+def test_settled_critical_cells_are_the_ranks(family):
+    # critical cells in no two adjacent dimensions leave the Morse complex
+    # without a differential, over every field
+    facets, order = family
+    critical = _critical_cells(facets, order)
+    if all(d + 1 not in critical for d in critical):
+        layers = _faces_of_facets(facets)
+        for p in PRIMES:
+            assert _chain_ranks(layers, p) == critical
+
+
+@given(ordered_families())
+@example((RP2, list(range(6))))
+@settings(max_examples=300, deadline=None)
+def test_critical_cells_bound_the_ranks_and_keep_the_euler_characteristic(family):
+    facets, order = family
+    critical = _critical_cells(facets, order)
+    layers = _faces_of_facets(facets)
+    for p in (2, 3):
+        for d, rank in _chain_ranks(layers, p).items():
+            assert critical.get(d, 0) >= rank
+    assert (sum((-1) ** (d % 2) * c for d, c in critical.items())
+            == sum((-1) ** (d % 2) * len(layer) for d, layer in layers.items()))
+
+
+# a circle, though the element matchings leave a cancelling pair of critical
+# cells in dimensions 1 and 2 beside its 1-cell; no vertex is peeled or collapsed
+ADJACENT = [0b010111, 0b111100, 0b100011, 0b011001, 0b001110]
+
+
+def test_adjacent_critical_cells_fall_through(collapses, chain_bases):
+    # every vertex but 5 lies in three facets, so the exit takes them in order
+    assert _critical_cells(ADJACENT, list(range(6))) == {1: 2, 2: 1}
+    for p in (2, 3, 5):
+        assert _union_homology(ADJACENT, p) == {1: 1}
+    assert len(collapses) == 3
+    assert len(chain_bases) == 3
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_cores_past_16_vertices_take_the_chain_complex(chain_bases, n):
+    # a cycle of n edges is its own core; the matchings take at most
+    # log2(MAX_COMPLEX_FACES) = 16 vertices
+    facets = [1 << k | 1 << (k + 1) % n for k in range(n)]
+    for p in (2, 3, 5):
+        assert _union_homology(facets, p) == {1: 1}
+    assert len(chain_bases) == (0 if n <= 16 else 3)
+
+
+def test_core_on_30_vertices_still_answers(chain_bases):
+    # one triangle per node of the prism over a 10-cycle, a cubic graph, on
+    # the three edges at the node: 30 vertices and 111 faces.  Each vertex
+    # lies in two triangles, which meet nowhere else, so the union has the
+    # homotopy type of the graph: 30 - 20 + 1 = 11 independent cycles
+    edges = ([(k, (k + 1) % 10) for k in range(10)] + [(k, k + 10) for k in range(10)]
+             + [(k + 10, (k + 1) % 10 + 10) for k in range(10)])
+    facets = [sum(1 << e for e, edge in enumerate(edges) if node in edge) for node in range(20)]
+    assert sum(len(layer) for layer in _faces_of_facets(facets).values()) == 111
+    assert sorted(_strong_collapse(facets)) == sorted(facets)
+    for p in (2, 3):
+        assert _union_homology(facets, p) == {1: 11}
+    assert len(chain_bases) == 2
 
 
 def cross_polytope(pairs):
