@@ -21,7 +21,7 @@ from .hypergraph import (
     simple_edges,
 )
 from .monomials import MonomialIdeal, _bits
-from .oracle import CapExceededError, _lattice_levels
+from .oracle import CapExceededError, _lattice
 
 MATCHING_CANDIDATE_CAP = 20
 
@@ -58,7 +58,7 @@ def taylor_regularity_bound(ideal: MonomialIdeal) -> int:
     For each lcm only the smallest F matters, so the maximum is taken over
     the lcm lattice with its levels.
     """
-    return max(m.bit_count() - level for m, level in _lattice_levels(ideal).items())
+    return max(m.bit_count() - level for m, level in _lattice(ideal).levels.items())
 
 
 def iso_upper_bound(hypergraph: LabeledHypergraph) -> int:

@@ -17,6 +17,19 @@ row has at most |b| nonzero entries, all of them +1 or -1.  Ranks are
 taken from the top dimension down with clearing: a face that the
 differential above pivots on gets no row of its own.
 
+Most lattice degrees build no complex.  The Betti numbers at b are the
+homology of the Taylor strand at b (Taylor resolution; Gasharov-Peeva-Welker,
+*The lcm-lattice in monomial resolutions*): the generator subsets S with
+lcm(S) = b in homological degree |S|, where the boundary of S keeps, as +1
+or -1, each S minus one generator of the same lcm.  The lattice records at
+each b its level k, the fewest generators with lcm b, its divisors D, the
+most, and the signed count f(b), the sum of (-1)^|S| over the strand.
+When |D| = k the strand is the one cell D.  When |D| = k + 1 it is D and
+the r >= 1 cells D minus one generator with lcm b, each hit by the boundary
+of D with +1 or -1, so beta_{k,b} = r - 1 is its only rank, over every
+field.  Either way beta_{k,b} = (-1)^k f(b), and only degrees with |D| >=
+k + 2 reach a divisibility complex.
+
 Each divisibility complex is first peeled with bit operations on its
 facets.  By the nerve theorem the complex has the homotopy type of the
 nerve of its facets, and the facets that miss a vertex all the others hold
@@ -24,7 +37,8 @@ split off as a suspension (Gasharov-Peeva-Welker, *The lcm-lattice in
 monomial resolutions*; Barmak-Minian, *Strong homotopy types, nerves and
 collapses*).  When every generator dividing b has a variable of b that no
 other divisor has, that settles the degree: beta_{k,b} = 1 for the k
-divisors, as in the Taylor complex, and no other rank there.  Cones
+divisors, as in the Taylor complex, and no other rank there (betti_table
+reads such degrees off the lattice first).  Cones
 and a peel that covers the complex give no homology.  What is left is
 shrunk by deleting dominated vertices in passes (a strong collapse, which
 preserves homotopy type and hence all homology ranks).  A core that is the
@@ -44,7 +58,7 @@ subspace*); the first matching is that excision.  The raw no-collapse path
 eliminates the whole complex, and is kept and cross-checked by the tests.
 
 The lcm lattice is built as a closure, one generator at a time, recording
-for each element the fewest generators whose lcm it is; the Taylor bound
+for each element its level, divisors and signed count; the Taylor bound
 reads the same levels, from one build per ideal.  Only the Taylor-complex
 routes scan all 2^mu generator subsets.
 """
@@ -55,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .monomials import Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _support_key
 
@@ -566,32 +580,61 @@ class BettiTable:
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """All lcms of nonempty generator subsets, deduplicated and sorted."""
     return tuple(Monomial(ideal.alphabet, m)
-                 for m in sorted(_lattice_levels(ideal), key=_support_key))
+                 for m in sorted(_lattice(ideal).levels, key=_support_key))
+
+
+class _Lattice(NamedTuple):
+    """The lcm lattice of an ideal, three read-only maps keyed by element b
+    and holding the elements in one order.
+
+    ``levels[b]`` is the fewest generators whose lcm is b; ``divisors[b]``
+    the generators dividing b, as a mask over the generator order, so its
+    size is the most generators whose lcm is b; ``signs[b]`` the sum of
+    (-1)^|S| over the generator subsets S with lcm b, which is the Moebius
+    value mu(0, b) of the lattice with a bottom 0 added (Rota's crosscut
+    theorem).
+    """
+
+    levels: Mapping[int, int]
+    divisors: Mapping[int, int]
+    signs: Mapping[int, int]
 
 
 @lru_cache(maxsize=1)
-def _lattice_levels(ideal: MonomialIdeal) -> Mapping[int, int]:
-    """Every lcm of a nonempty generator subset, mapped to the fewest
-    generators whose lcm it is.
+def _lattice(ideal: MonomialIdeal) -> _Lattice:
+    """Every lcm of a nonempty generator subset, with its level, divisors
+    and signed subset count.
 
     The generators are folded in one at a time: joining g with each element
     so far reaches every new lcm, at one level more, so the work is at most
     mu times the lattice size instead of 2^mu.  Different elements can join
-    to the same lcm, and then the smaller level is kept.
+    to the same lcm, and then the smaller level is kept.  A subset S of the
+    earlier generators with lcm m gives S + g with lcm m | g, one generator
+    more, so the join adds m's divisors and g to those of m | g and takes
+    m's signed count, as it stood before g, from that of m | g.  The
+    divisors are complete: for b other than g and divisible by it, the lcm
+    m of b's earlier divisors is an element, m | g = b, and m has them all.
 
     The last ideal's lattice is kept, read-only, so that the Taylor bound
     and the Betti tables of one ideal share a single build.
     """
     if ideal.num_generators > MAX_LATTICE_GENERATORS:
         raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
-    levels: dict[int, int] = {}
-    for g in ideal.generator_masks:
-        for m, level in list(levels.items()):
+    cells: dict[int, tuple[int, int, int]] = {}  # element: (level, divisors, sign)
+    for j, g in enumerate(ideal.generator_masks):
+        bit = 1 << j
+        # the snapshot holds each element's values as they stood before g
+        for m, (level, below, sign) in list(cells.items()):
             joined = m | g
-            if levels.get(joined, level + 2) > level + 1:
-                levels[joined] = level + 1
-        levels[g] = 1
-    return MappingProxyType(levels)
+            old = cells.get(joined)
+            if old is None:
+                cells[joined] = (level + 1, below | bit, -sign)
+            else:
+                k, d, f = old
+                cells[joined] = (k if k <= level else level + 1, d | below | bit, f - sign)
+        cells[g] = (1, bit, -1)  # a minimal generator is no lcm of earlier ones
+    # one map per value, all with the keys of cells in the same order
+    return _Lattice(*(MappingProxyType(dict(zip(cells, values))) for values in zip(*cells.values())))
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -620,15 +663,23 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     """Full multigraded Betti table of R/I via divisibility-complex homology.
 
     Degrees are enumerated over the lcm lattice only, where all Betti
-    numbers of a monomial ideal live.  Tables are cached per ideal and field.
+    numbers of a monomial ideal live.  A degree whose Taylor strand holds
+    subsets of its level and one more only is read off the lattice's signed
+    count; the others take the homology of their divisibility complex.
+    Tables are cached per ideal and field.
     """
     gens = ideal.generator_masks
     p = field_spec.characteristic
+    lattice = _lattice(ideal)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for b in _lattice_levels(ideal):  # BettiTable sorts the entries
+    for (b, k), divisors, sign in zip(  # BettiTable sorts the entries
+            lattice.levels.items(), lattice.divisors.values(), lattice.signs.values()):
+        if divisors.bit_count() <= k + 1:  # the Taylor strand at b has no other ranks
+            if sign:
+                entries[(k, b)] = -sign if k & 1 else sign
+            continue
         # minimal generators make the facets b & ~g an antichain
-        hom = _union_homology([b & ~g for g in gens if g & ~b == 0], p)
-        for d, rank in sorted(hom.items()):
+        for d, rank in _union_homology([b & ~gens[j] for j in _bits(divisors)], p).items():
             entries[(d + 2, b)] = rank
     return BettiTable(field_spec, ideal.alphabet, entries)
 

@@ -61,18 +61,27 @@ def labeled_hypergraphs(draw, max_vertices=14):
     return LabeledHypergraph(vertices, {f"x{i:02d}": image for i, image in enumerate(images)})
 
 
-def subset_scan_levels(ideal: MonomialIdeal) -> dict[int, int]:
-    """Reference lcm lattice: scan all 2^mu generator subsets and map each
-    lcm to the size of the smallest subset giving it."""
+def subset_scan_strands(ideal: MonomialIdeal) -> dict[int, tuple[int, int, int]]:
+    """Reference Taylor strands: scan all 2^mu generator subsets and map each
+    lcm to the smallest and the largest size of a subset giving it, and to
+    the sum of (-1)^|S| over the subsets S giving it."""
     gens = ideal.generator_masks
     assert len(gens) <= 16, "the subset scan is for few generators"
-    levels: dict[int, int] = {}
+    strands: dict[int, tuple[int, int, int]] = {}
     for s in range(1, 1 << len(gens)):
         lcm = 0
         for k in _bits(s):
             lcm |= gens[k]
-        levels[lcm] = min(levels.get(lcm, s.bit_count()), s.bit_count())
-    return levels
+        size = s.bit_count()
+        low, high, signed = strands.get(lcm, (size, size, 0))
+        strands[lcm] = (min(low, size), max(high, size), signed + (-1) ** size)
+    return strands
+
+
+def subset_scan_levels(ideal: MonomialIdeal) -> dict[int, int]:
+    """Reference lcm lattice: each lcm mapped to the size of the smallest
+    generator subset giving it."""
+    return {lcm: low for lcm, (low, _, _) in subset_scan_strands(ideal).items()}
 
 
 def assert_support_key_order(table: BettiTable) -> None:

@@ -11,7 +11,7 @@ from hyperreg import cli
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet
-from hyperreg.oracle import TaylorComplex, _lattice_levels, betti_table
+from hyperreg.oracle import TaylorComplex, _lattice, betti_table
 from hyperreg.randgen import max_antichain, variable_names
 
 
@@ -278,8 +278,8 @@ class TestOneLattice:
     def builds(self):
         # a table cached by an earlier test would skip its lattice read
         betti_table.cache_clear()
-        _lattice_levels.cache_clear()
-        return lambda: _lattice_levels.cache_info().misses
+        _lattice.cache_clear()
+        return lambda: _lattice.cache_info().misses
 
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--field", "3"]])
     def test_analyze_builds_once(self, capsys, builds, saturated_file, extra):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from helpers import (
     ideals,
     restart_strong_collapse,
     subset_scan_levels,
+    subset_scan_strands,
     taylor_rank,
     uncleared_chain_ranks,
     unit_entry_scan,
@@ -37,7 +39,7 @@ from hyperreg.oracle import (
     _chain_ranks,
     _critical_cells,
     _faces_of_facets,
-    _lattice_levels,
+    _lattice,
     _maximal_masks,
     _outside_star,
     _rank_sparse,
@@ -293,20 +295,35 @@ class TestLatticeLevels:
     @given(ideals())
     @settings(max_examples=300, deadline=None)
     def test_matches_subset_scan(self, ideal):
-        assert _lattice_levels(ideal) == subset_scan_levels(ideal)
+        assert _lattice(ideal).levels == subset_scan_levels(ideal)
 
     def test_collision_keeps_the_smaller_level(self):
         ideal = parse_ideal(self.COLLISION)
-        levels = _lattice_levels(ideal)
+        levels = _lattice(ideal).levels
         assert levels == subset_scan_levels(ideal)
         assert max(m.bit_count() - k for m, k in levels.items()) == 4
 
+    @given(ideals())
+    @example(parse_ideal(COLLISION))
+    @settings(max_examples=300, deadline=None)
+    def test_strands_match_subset_scan(self, ideal):
+        # the fewest and the most generators with lcm b, and the signed count
+        lattice = _lattice(ideal)
+        gens = ideal.generator_masks
+        assert {b: (lattice.levels[b], lattice.divisors[b].bit_count(), lattice.signs[b])
+                for b in lattice.levels} == subset_scan_strands(ideal)
+        for b, divisors in lattice.divisors.items():
+            assert divisors == sum(1 << j for j, g in enumerate(gens) if g & ~b == 0)
+
     def test_cached_levels_are_read_only(self):
         ideal = parse_ideal(self.COLLISION)
-        levels = _lattice_levels(ideal)
-        with pytest.raises(TypeError):
-            levels[0b1000] = 9
-        assert _lattice_levels(ideal) == subset_scan_levels(ideal)
+        lattice = _lattice(ideal)
+        for values in lattice:
+            assert isinstance(values, MappingProxyType)
+            with pytest.raises(TypeError):
+                values[0b1000] = 9
+        assert _lattice(ideal) is lattice
+        assert _lattice(ideal).levels == subset_scan_levels(ideal)
         assert taylor_regularity_bound(ideal) == 4
 
 
@@ -932,3 +949,70 @@ def test_sphere_boundaries_have_top_homology():
         expected[k] = 1  # rank 1 in dimension k - 1, list starts at dim -1
         assert reduced_homology_ranks(c, GF2) == expected
         assert reduced_homology_ranks(c, GF3, precollapse=False) == expected
+
+
+@pytest.fixture
+def homology_calls(monkeypatch):
+    """Records every facet list whose union homology ``betti_table`` takes."""
+    calls = []
+    original = oracle._union_homology
+    monkeypatch.setattr(oracle, "_union_homology",
+                        lambda facets, p: calls.append(facets) or original(facets, p))
+    betti_table.cache_clear()  # a cached table would skip its degrees
+    return calls
+
+
+class TestSettledDegrees:
+    """A degree b whose Taylor strand holds only subsets of level(b) and
+    level(b) + 1 generators is settled from the lattice's divisor count and
+    signed count, with no complex built."""
+
+    def test_triangle_top_has_two_syzygies(self, homology_calls):
+        # the three pairs of (ab, bc, ac) each have lcm abc, and so do all three
+        ideal = word_ideal("ab bc ac")
+        top = mono(ideal, "abc").mask
+        lattice = _lattice(ideal)
+        assert (lattice.levels[top], lattice.divisors[top], lattice.signs[top]) == (2, 0b111, 2)
+        assert subset_scan_strands(ideal)[top] == (2, 3, 2)
+        for f in (GF2, GF3, GF5):
+            assert degree_names(betti_table(ideal, f))[(2, ("a", "b", "c"))] == 2
+        assert homology_calls == []
+
+    def test_one_pair_at_the_top_leaves_no_entry(self, homology_calls):
+        # of the pairs of (ab, bc, cd) only {ab, cd} has lcm abcd: r = 1
+        ideal = word_ideal("ab bc cd")
+        top = mono(ideal, "abcd").mask
+        lattice = _lattice(ideal)
+        assert (lattice.levels[top], lattice.divisors[top], lattice.signs[top]) == (2, 0b111, 0)
+        assert subset_scan_strands(ideal)[top] == (2, 3, 0)
+        for f in (GF2, GF3, GF5):
+            assert all(b != top for _, b in betti_table(ideal, f).entries)
+        assert homology_calls == []
+
+    @pytest.mark.parametrize("text, degrees, calls", [
+        ("\n".join(f"a{k:02d} b{k:02d}" for k in range(8)), 255, 0),  # 8 disjoint edges
+        ("\n".join(f"x{k} x{(k + 1) % 9}" for k in range(9)), 157, 28),  # the cycle C9
+        ("\n".join([f"g{r}{c} g{r}{c + 1}" for r in range(3) for c in range(2)]
+                   + [f"g{r}{c} g{r + 1}{c}" for r in range(2) for c in range(3)]),
+         249, 100),  # the 3 x 3 grid
+    ], ids=["disjoint-edges", "cycle9", "grid3x3"])
+    def test_union_homology_calls(self, homology_calls, text, degrees, calls):
+        ideal = parse_ideal(text)
+        for f in (GF2, GF3):
+            betti_table(ideal, f)
+        assert len(_lattice(ideal).levels) == degrees
+        assert len(homology_calls) == 2 * calls
+
+    @given(ideals(max_vars=10, max_gens=10))
+    @settings(max_examples=200, deadline=None)
+    def test_settled_degrees_match_union_homology(self, ideal):
+        # the route the settled degrees no longer take, over every field
+        lattice = _lattice(ideal)
+        settled = [b for b, k in lattice.levels.items()
+                   if lattice.divisors[b].bit_count() <= k + 1]
+        for p in PRIMES:
+            entries = betti_table(ideal, FieldSpec(p)).entries
+            for b in settled:
+                facets = [b & ~g for g in ideal.generator_masks if g & ~b == 0]
+                expected = {d + 2: r for d, r in _union_homology(facets, p).items()}
+                assert {i: r for (i, m), r in entries.items() if m == b} == expected
