@@ -39,18 +39,27 @@ collapses*).  When every generator dividing b has a variable of b that no
 other divisor has, that settles the degree: beta_{k,b} = 1 for the k
 divisors, as in the Taylor complex, and no other rank there (betti_table
 reads such degrees off the lattice first).  Cones
-and a peel that covers the complex give no homology.  What is left is
-shrunk by deleting dominated vertices in passes (a strong collapse, which
-preserves homotopy type and hence all homology ranks).  A core that is the
-boundary of a simplex is a sphere and builds no faces.  Otherwise a core
-on at most 16 vertices (so under the face cap) is matched: with its faces
-as one bit per vertex subset, element matchings pair a face with the face
-one vertex larger, for each vertex in turn, the first being v, the vertex
-in the most facets.  They are acyclic (Jonsson, *Simplicial Complexes of
-Graphs*) and every incidence is +1 or -1, so the unmatched, critical
-cells carry a Morse complex with the same integral homology (Forman,
-*Morse theory for cell complexes*); when no two adjacent dimensions hold
-critical cells, their counts are the ranks.  Other cores reach the
+and a peel that covers the complex give no homology.
+
+A core left with at most 16 facets (so its nerve is under the face cap) is
+settled on the nerve: vertex i is facet i, and the faces, one bit per facet
+subset, are generated by the sets of facets holding each vertex of the
+union.  Element matchings pair a face with the face one element larger, for
+each element in turn.  They are acyclic (Jonsson, *Simplicial Complexes of
+Graphs*) and every incidence is +1 or -1, so the unmatched, critical cells
+carry a Morse complex with the same integral homology (Forman, *Morse
+theory for cell complexes*).  When no two adjacent dimensions hold critical
+cells, their counts are the ranks; otherwise the Morse differential between
+them is read off the gradient flow, which visits each face at most once,
+and its ranks are taken mod p.  Torsion is therefore exact, with no
+boundary matrix of the complex built.
+
+A core with more facets is shrunk by deleting dominated vertices in passes
+(a strong collapse, which preserves homotopy type and hence all homology
+ranks).  A core that is the boundary of a simplex is a sphere and builds no
+faces.  Otherwise a core on at most 16 vertices is matched the same way on
+its own faces, the first element being v, the vertex in the most facets,
+and settled when its critical cells skip dimensions.  Other cores reach the
 boundary matrices relative to the closed star of v, a cone, so H~(K) =
 H(K, st v) and only the faces outside the star get a basis element
 (Mrozek-Pilarczyk-Zelazna, *Homology algorithm based on acyclic
@@ -347,24 +356,116 @@ def _subsets_holding(n: int) -> tuple[int, ...]:
     return tuple(h | h << half for h in _subsets_holding(n - 1)) + (((1 << half) - 1) << half,)
 
 
-def _critical_cells(facets: list[int], order: list[int]) -> dict[int, int]:
-    """Critical cells by dimension of the element matchings, for the
-    vertices in ``order`` one after another, on the faces of ``facets``.
+def _element_matchings(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
+    """Element matchings, for j = 0 .. n - 1 one after another, on the
+    downward closure of the subsets ``tops`` of range(n).
 
-    Vertex order[j] becomes bit j, and the faces, the empty one included,
-    the set bits of one 2^n-bit int.  The matching for j pairs each
-    unmatched face s missing j with s + j when that is unmatched too.
+    The faces, the empty one included, are the set bits of one 2^n-bit int.
+    The matching for j pairs each unmatched face s missing j with s + j when
+    that is unmatched too.  Returns the critical (unmatched) faces, as such
+    an int, and for each j the mask of the faces s it paired with s + j.
     """
-    has = _subsets_holding(len(order))
+    has = _subsets_holding(n)
     cells = 0
-    for f in facets:
-        cells |= 1 << sum((f >> v & 1) << j for j, v in enumerate(order))
+    for t in tops:
+        cells |= 1 << t
     for j, h in enumerate(has):  # downward closure
         cells |= (cells & h) >> (1 << j)
+    steps = []
     for j, h in enumerate(has):
-        m = cells & ~h & (cells & h) >> (1 << j)
-        cells &= ~(m | m << (1 << j))
-    return Counter(s.bit_count() - 1 for s in _bits(cells))
+        low = cells & ~h & (cells & h) >> (1 << j)
+        cells &= ~(low | low << (1 << j))
+        steps.append(low)
+    return cells, steps
+
+
+def _critical_cells(facets: list[int], order: list[int]) -> dict[int, int]:
+    """Critical cells by dimension of the element matchings, for the
+    vertices in ``order`` one after another, on the faces of ``facets``;
+    vertex order[j] becomes bit j."""
+    critical, _ = _element_matchings(
+        (sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets), len(order))
+    return Counter(s.bit_count() - 1 for s in _bits(critical))
+
+
+def _morse_flow(face: int, critical: int, steps: list[int],
+                flows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """The critical cells, with integer coefficients, that the gradient flow
+    of the element matchings ``steps`` carries ``face`` to.
+
+    A critical face flows to itself, and a face paired with one below it to
+    nothing.  A face s paired by the matching for j with t = s + j flows as
+    -[t : s] times the sum of [t : r] r over the other faces r of t, where
+    [t : t - i] is -1 to the number of elements of t below i.  The matchings
+    are acyclic, so every path ends; each face is computed once, memoized in
+    ``flows``, from an explicit stack instead of recursion.
+    """
+    stack = [face]
+    while stack:
+        s = stack[-1]
+        if s in flows:
+            stack.pop()
+            continue
+        j = next((j for j, low in enumerate(steps) if low >> s & 1), -1)
+        if j < 0:  # critical, or paired with a face below it
+            flows[s] = {s: 1} if critical >> s & 1 else {}
+        else:
+            top = s | 1 << j
+            pending = [top ^ 1 << i for i in _bits(s) if top ^ 1 << i not in flows]
+            if pending:
+                stack += pending
+                continue
+            # -[t : s] [t : t - i], the sign of -1 to the elements of t below j or i
+            chain: dict[int, int] = {}
+            for i in _bits(s):
+                a = 1 if (top & ((1 << j) - 1 ^ (1 << i) - 1)).bit_count() & 1 else -1
+                for cell, c in flows[top ^ 1 << i].items():
+                    chain[cell] = chain.get(cell, 0) + a * c
+            flows[s] = {cell: c for cell, c in chain.items() if c}
+        stack.pop()
+    return flows[face]
+
+
+def _nerve_homology(facets: list[int], p: int) -> dict[int, int]:
+    """Reduced homology ranks over GF(p) of the union of the given full
+    simplices, taken on the nerve of the facets.
+
+    Vertex i of the nerve is facets[i], and its faces are generated by the
+    sets of facets holding each vertex of the union.  The element matchings
+    on the nerve's faces leave critical cells that carry a Morse complex with
+    the same integral homology (Forman, *Morse theory for cell complexes*).
+    When no two adjacent dimensions hold critical cells, their counts are the
+    ranks; otherwise the Morse differential between the critical cells of
+    adjacent dimensions is read off the gradient flow and reduced mod p.
+    """
+    holders: dict[int, int] = {}  # vertex bit: the facets holding it
+    for i, f in enumerate(facets):
+        while f:
+            low = f & -f
+            f ^= low
+            holders[low] = holders.get(low, 0) | 1 << i
+    critical, steps = _element_matchings(holders.values(), len(facets))
+    cells: dict[int, list[int]] = {}
+    for s in _bits(critical):
+        cells.setdefault(s.bit_count() - 1, []).append(s)
+    flows: dict[int, dict[int, int]] = {}
+    ranks = {}
+    for d, layer in cells.items():
+        if d - 1 in cells:
+            rows = []
+            for s in layer:
+                row: dict[int, int] = {}
+                for k, i in enumerate(_bits(s)):
+                    for cell, c in _morse_flow(s ^ 1 << i, critical, steps, flows).items():
+                        row[cell] = row.get(cell, 0) + (-c if k & 1 else c)
+                rows.append({cell: c % p for cell, c in row.items() if c % p})
+            ranks[d] = len(_rank_sparse(rows, p))
+    homology = {}
+    for d, layer in cells.items():
+        r = len(layer) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if r:
+            homology[d] = r
+    return homology
 
 
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
@@ -431,16 +532,19 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     in all facets, which maximalizing the f & C can create), and for the
     complex whose only face is empty.
 
-    A core left without such facets is strong-collapsed.  After the
+    A core left without such facets, m of them with 2^m <=
+    ``MAX_COMPLEX_FACES``, is settled on its nerve by
+    :func:`_nerve_homology`, with the facets in the order the peel leaves
+    them.  A core with more facets is strong-collapsed.  After the
     collapse, n facets of size n - 1 on n vertices are the boundary of a
     simplex, a sphere of dimension n - 2.  With the vertices by falling
     facet count, the lowest on a tie, a core on n vertices with 2^n <=
     ``MAX_COMPLEX_FACES`` is settled when its element matchings leave
     critical cells in no two adjacent dimensions: the Morse complex then
     has no differential (Jonsson, *Simplicial Complexes of Graphs*;
-    Forman, *Morse theory for cell complexes*).  Anything else, such as
-    torsion, goes through the chain complex relative to the closed star of
-    the first vertex.
+    Forman, *Morse theory for cell complexes*).  Anything else goes
+    through the chain complex relative to the closed star of the first
+    vertex.
     """
     shift = 0
     while True:
@@ -469,6 +573,8 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
         if not meet:
             return {} if rest else {shift - 2: 1}
         facets = _maximal_masks([f & meet for f in rest])
+    if 1 << len(facets) <= MAX_COMPLEX_FACES:
+        return {d + shift: r for d, r in _nerve_homology(facets, p).items()}
     facets = _strong_collapse(facets)
     n = len(facets)
     union = 0
@@ -488,10 +594,11 @@ def reduced_homology_ranks(
         complex_: SimplicialComplex, field: FieldSpec, precollapse: bool = True) -> list[int]:
     """Ranks of reduced homology over GF(p), listed for dimensions -1..dim.
 
-    With ``precollapse`` the complex is first peeled and strong-collapsed
-    as ``betti_table`` does (a known suspension of the same homotopy type,
-    so the ranks shift by a known amount); without it the boundary matrices
-    of the complex are eliminated as given.
+    With ``precollapse`` the complex takes the route of ``betti_table``:
+    it is peeled (a known suspension of the same homotopy type, so the
+    ranks shift by a known amount), then a core of at most 16 facets is
+    settled on its nerve and only a core with more is strong-collapsed.
+    Without it the boundary matrices of the complex are eliminated as given.
     """
     if complex_.is_void:
         return []

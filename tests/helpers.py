@@ -156,6 +156,16 @@ def hochster_betti(ideal: MonomialIdeal, p: int) -> dict[tuple[int, int], int]:
     return table
 
 
+def nerve_faces(facets: list[int]) -> set[int]:
+    """Reference nerve: the subsets of the facets' positions, as masks, whose
+    facets share a vertex, and the empty subset."""
+    common = [-1]  # the empty subset meets in every vertex
+    for s in range(1, 1 << len(facets)):
+        low = (s & -s).bit_length() - 1
+        common.append(common[s & (s - 1)] & facets[low])
+    return {s for s, meet in enumerate(common) if meet}
+
+
 def faces(complex_: SimplicialComplex, dim: int) -> tuple[frozenset, ...]:
     """The faces of one dimension, as sets of vertex names."""
     return tuple(frozenset(complex_.vertices[b] for b in _bits(mask))

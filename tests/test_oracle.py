@@ -1,9 +1,12 @@
 import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations
 from types import MappingProxyType
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +17,7 @@ from helpers import (
     has_face,
     hochster_betti,
     ideals,
+    nerve_faces,
     restart_strong_collapse,
     subset_scan_levels,
     subset_scan_strands,
@@ -41,6 +45,7 @@ from hyperreg.oracle import (
     _faces_of_facets,
     _lattice,
     _maximal_masks,
+    _nerve_homology,
     _outside_star,
     _rank_sparse,
     _strong_collapse,
@@ -683,12 +688,15 @@ def test_complex_route_builds_no_faces_on_known_cores(
     ([0b11, 0b1001, 0b10010, 0b10100], {}),  # the path d a b e c
     ([0b10101, 0b11000, 0b1001, 0b110], {1: 1}),  # a circle with a triangle and an edge on it
 ], ids=["point", "circle"])
-def test_collapsed_cores_exit_without_faces(face_builds, collapses, facets, expected):
-    # every vertex is missed by two facets or more, so nothing is peeled
+def test_collapsed_cores_exit_without_faces(
+        face_builds, collapses, chain_bases, facets, expected):
+    # every vertex is missed by two facets or more, so nothing is peeled, and
+    # the four facets settle on their nerve with no strong collapse
     for p in (2, 3, 5):
         assert _union_homology(facets, p) == expected
     assert face_builds == []
-    assert len(collapses) == 3
+    assert collapses == []
+    assert chain_bases == []
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -740,15 +748,32 @@ def chain_bases(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("facets, expected, full, bases", [
-    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, []),
-    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, [10] * 3),
-], ids=["octahedron", "rp2"])
-def test_vertex_star_is_excised_before_the_ranks(chain_bases, facets, expected, full, bases):
-    # neither core peels or collapses; vertex 0 lies in the most facets, and
-    # the first element matching pairs off its closed star.  The octahedron
-    # then settles by the matchings; RP^2 has torsion, so critical cells are left in
-    # dimensions 1 and 2, and only its faces outside the star reach the
+@pytest.fixture
+def morse_flows(monkeypatch):
+    """Records every face whose gradient flow the Morse differential asks for."""
+    calls = []
+    original = oracle._morse_flow
+    monkeypatch.setattr(oracle, "_morse_flow", lambda face, *rest: calls.append(face)
+                        or original(face, *rest))
+    return calls
+
+
+CYCLE17 = [1 << k | 1 << (k + 1) % 17 for k in range(17)]
+
+
+@pytest.mark.parametrize("facets, expected, full, bases, morse", [
+    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, [], False),
+    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, [], True),
+    (CYCLE17, {2: {1: 1}, 3: {1: 1}, 5: {1: 1}}, 35, [29] * 3, False),
+], ids=["octahedron", "rp2", "17-cycle"])
+def test_vertex_star_is_excised_before_the_ranks(
+        chain_bases, morse_flows, facets, expected, full, bases, morse):
+    # no core peels or collapses.  The octahedron and RP^2 have at most 16
+    # facets, so they are settled on their nerve: the octahedron by its
+    # critical cells, RP^2, whose torsion leaves critical cells in dimensions
+    # 1 and 2, by the Morse differential.  The 17-cycle has more facets and
+    # too many vertices for the matchings, so only its faces outside the
+    # closed star of vertex 0, the first in the most facets, reach the
     # boundary matrices
     assert sorted(_strong_collapse(facets)) == sorted(facets)
     assert sum(len(layer) for layer in _faces_of_facets(facets).values()) == full
@@ -756,6 +781,7 @@ def test_vertex_star_is_excised_before_the_ranks(chain_bases, facets, expected, 
         assert _union_homology(facets, p) == expected[p]
     assert chain_bases == bases
     assert all(b < full for b in bases)
+    assert bool(morse_flows) == morse
 
 
 @given(facet_families(max_vertices=9, max_facets=10))
@@ -813,13 +839,140 @@ def test_critical_cells_bound_the_ranks_and_keep_the_euler_characteristic(family
 ADJACENT = [0b010111, 0b111100, 0b100011, 0b011001, 0b001110]
 
 
-def test_adjacent_critical_cells_fall_through(collapses, chain_bases):
-    # every vertex but 5 lies in three facets, so the exit takes them in order
+def test_adjacent_critical_cells_fall_through(collapses, chain_bases, morse_flows):
+    # every vertex but 5 lies in three facets, so the vertex matchings take them in order
     assert _critical_cells(ADJACENT, list(range(6))) == {1: 2, 2: 1}
-    for p in (2, 3, 5):
-        assert _union_homology(ADJACENT, p) == {1: 1}
-    assert len(collapses) == 3
-    assert len(chain_bases) == 3
+    # on the nerve, the matchings over the facets in order leave one 1-cell;
+    # in the reverse order they leave the cancelling pair beside it, and the
+    # Morse differential cancels it
+    for facets, morse in ((ADJACENT, False), (ADJACENT[::-1], True)):
+        morse_flows.clear()
+        for p in (2, 3, 5):
+            assert _union_homology(facets, p) == {1: 1}
+        assert bool(morse_flows) == morse
+    assert collapses == []
+    assert chain_bases == []
+
+
+CYCLE16 = [1 << k | 1 << (k + 1) % 16 for k in range(16)]
+
+
+@st.composite
+def nerve_families(draw):
+    """An antichain of at most 16 facets on at most 9 vertices, not only the empty face."""
+    _, facets = draw(facet_families(max_vertices=9, max_facets=16))
+    facets = _maximal_masks(facets)
+    assume(_union(facets))
+    return facets
+
+
+@contextmanager
+def recorded(name):
+    """Records the arguments and result of every call of an oracle function."""
+    calls = []
+    original = getattr(oracle, name)
+
+    def record(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, name, record)
+        yield calls
+
+
+NERVE_EXAMPLES = (RP2, OCTAHEDRON, ADJACENT, ADJACENT[::-1], CYCLE16)
+
+
+def nerve_examples(test):
+    for facets in NERVE_EXAMPLES:
+        test = example(facets)(test)
+    return test
+
+
+@given(nerve_families())
+@nerve_examples
+@settings(max_examples=300, deadline=None)
+def test_nerve_route_matches_chain_complex(facets):
+    # the peel hands the nerve what it leaves, and the nerve is also run on
+    # the whole antichain, so cores with private vertices reach it too
+    layers = _faces_of_facets(facets)
+    for p in PRIMES:
+        expected = _chain_ranks(layers, p)
+        assert _union_homology(facets, p) == expected
+        assert _nerve_homology(facets, p) == expected
+
+
+@given(nerve_families())
+@nerve_examples
+@settings(max_examples=200, deadline=None)
+def test_nerve_bitmap_holds_the_nerve_faces(facets):
+    # the critical faces and both sides of every matched pair are the nerve's
+    # faces, each once; the matching for j pairs a face missing j with its
+    # union with j
+    with recorded("_element_matchings") as calls:
+        _nerve_homology(facets, 2)
+    [((_, n), (critical, steps))] = calls
+    assert n == len(facets) == len(steps)
+    faces = [critical]
+    for j, low in enumerate(steps):
+        assert all(not s >> j & 1 for s in _bits(low))
+        faces += [low, low << (1 << j)]
+    assert sorted(s for mask in faces for s in _bits(mask)) == sorted(nerve_faces(facets))
+
+
+@given(nerve_families())
+@nerve_examples
+@settings(max_examples=200, deadline=None)
+def test_nerve_critical_cells_keep_the_morse_inequalities(facets):
+    with recorded("_element_matchings") as calls:
+        _nerve_homology(facets, 2)
+    [(_, (critical, _))] = calls
+    cells = Counter(s.bit_count() - 1 for s in _bits(critical))
+    layers = _faces_of_facets(facets)
+    top = max(layers)
+    for p in (2, 3):
+        ranks = _chain_ranks(layers, p)
+        for d in range(-1, top + 1):
+            # the strong form, which implies cells[d] >= ranks[d]: the
+            # alternating sum up to d is the rank of the Morse differential
+            # into dimension d
+            assert sum((-1) ** (d - i) * (cells[i] - ranks.get(i, 0)) for i in range(-1, d + 1)) >= 0
+    assert (sum((-1) ** (d % 2) * c for d, c in cells.items())
+            == sum((-1) ** (d % 2) * len(layer) for d, layer in layers.items()))
+
+
+# 16 facets on 11 vertices, none peeled or collapsed, found by a search for
+# long gradient paths: the nerve's critical cells lie in dimensions 2, 3 and
+# 4, and a boundary face of a critical 3-cell flows through 14 faces
+DEEP = [1890, 1827, 870, 455, 1611, 1197, 1776, 1938, 311, 1720, 922, 347, 1055, 413, 1182,
+        159]
+
+
+def _recursion_depth():
+    """The caller's depth as the recursion limit counts it, C calls included."""
+    def probe(k):
+        try:
+            return probe(k + 1)
+        except RecursionError:
+            return k
+    return sys.getrecursionlimit() - probe(1)
+
+
+def test_morse_flow_does_not_recurse(morse_flows):
+    expected = {p: _chain_ranks(_faces_of_facets(DEEP), p) for p in (2, 3)}
+    assert expected == {2: {2: 3, 3: 2}, 3: {2: 3, 3: 2}}
+    _union_homology(DEEP, 5)  # fills the cache of the 2^16-bit masks first
+    # a flow that recursed once per face on its path would pass this limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 10)
+    try:
+        ranks = {p: _union_homology(DEEP, p) for p in (2, 3)}
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ranks == expected
+    assert morse_flows
 
 
 @pytest.mark.parametrize("n", [16, 17])
