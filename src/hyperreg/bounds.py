@@ -58,7 +58,7 @@ def taylor_regularity_bound(ideal: MonomialIdeal) -> int:
     For each lcm only the smallest F matters, so the maximum is taken over
     the lcm lattice with its levels.
     """
-    return max(m.bit_count() - level for m, level in _lattice(ideal).levels.items())
+    return max(m.bit_count() - level for m, (level, _, _) in _lattice(ideal).items())
 
 
 def iso_upper_bound(hypergraph: LabeledHypergraph) -> int:

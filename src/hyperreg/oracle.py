@@ -10,12 +10,11 @@ Two independent routes compute the same table for R/I:
   of the resulting strands.
 
 Both routes build their boundary rows the same way and share one exact
-rank kernel, whose row form depends only on p: a bit mask when p = 2, two
-bit masks (the +1 and the -1 columns) reduced by bit-sliced addition when
-p = 3, and sparse ``{column: residue}`` rows for larger primes.  A boundary
-row has at most |b| nonzero entries, all of them +1 or -1.  Ranks are
-taken from the top dimension down with clearing: a face that the
-differential above pivots on gets no row of its own.
+rank kernel, which eliminates sparse ``{column: residue}`` rows over GF(p)
+for every p and also ranks the Morse differentials below.  A boundary row
+has at most |b| nonzero entries, all of them +1 or -1.  Ranks are taken
+from the top dimension down with clearing: a face that the differential
+above pivots on gets no row of its own.
 
 Most lattice degrees build no complex.  The Betti numbers at b are the
 homology of the Taylor strand at b (Taylor resolution; Gasharov-Peeva-Welker,
@@ -66,10 +65,11 @@ H(K, st v) and only the faces outside the star get a basis element
 subspace*); the first matching is that excision.  The raw no-collapse path
 eliminates the whole complex, and is kept and cross-checked by the tests.
 
-The lcm lattice is built as a closure, one generator at a time, recording
-for each element its level, divisors and signed count; the Taylor bound
-reads the same levels, from one build per ideal.  Only the Taylor-complex
-routes scan all 2^mu generator subsets.
+The lcm lattice is built as a closure, one generator at a time, into one
+read-only map from each element to its level, divisors and signed count;
+the Betti tables, :func:`lcm_lattice` and the Taylor bound read that map in
+place, from one build per ideal.  Only the Taylor-complex routes scan all
+2^mu generator subsets.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .monomials import Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _support_key
 
@@ -117,26 +117,15 @@ GF3 = FieldSpec(3)
 # ---------------------------------------------------------------------------
 # GF(p) ranks
 
-def _rank_gf2(rows: list[int]) -> AbstractSet[int]:
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
-            row ^= piv
-    return pivots.keys()
-
-
 def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> AbstractSet[int]:
     """Pivot columns over GF(p), as many as the rank, of rows given as
-    ``{column: nonzero residue}``.
+    ``{column: nonzero residue}``: the one elimination routine of the oracle.
 
-    Pivots on the highest column of each row, as :func:`_rank_gf2` does;
-    each pivot row is stored scaled to a leading 1.  The rows are reduced
-    in place.
+    Each row is reduced by the pivots on its highest column until it is
+    zero or leads on a column with no pivot yet, and is stored there scaled
+    to a leading 1.  The pivot columns are then the highest columns of the
+    nonzero vectors the rows span, whatever their order.  The rows are
+    reduced in place.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -158,54 +147,6 @@ def _rank_sparse(rows: Iterable[dict[int, int]], p: int) -> AbstractSet[int]:
                 else:
                     del row[c]
     return pivots.keys()
-
-
-def _rank_gf3(rows: Iterable[tuple[int, int]]) -> AbstractSet[int]:
-    """Pivot columns over GF(3), as many as the rank, of rows given as
-    ``(pos, neg)``: the mask of the +1 columns and the mask of the -1 columns.
-
-    Pivots on the highest column of each row, as :func:`_rank_gf2` does;
-    each pivot row is stored scaled to a leading +1, which swaps its masks.
-    A row is reduced by adding the pivot, or its negation, bit-sliced:
-    1 + 1 = -1 and -1 + -1 = 1.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    for pos, neg in rows:
-        while pos | neg:
-            lead = (pos | neg).bit_length() - 1
-            plus = pos >> lead & 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = (pos, neg) if plus else (neg, pos)
-                break
-            # subtract the pivot scaled to the row's leading entry
-            n2, p2 = piv if plus else (piv[1], piv[0])
-            pos, neg = (((pos ^ p2) & ~(neg | n2)) | (neg & n2),
-                        ((neg ^ n2) & ~(pos | p2)) | (pos & p2))
-    return pivots.keys()
-
-
-def _boundary_rank(rows: list[tuple[int, int]], p: int) -> AbstractSet[int]:
-    """Pivot columns over GF(p), as many as the rank, of a matrix whose
-    nonzero entries are all +1 or -1.
-
-    A row is a pair of column masks: its support, and the subset of the
-    support holding -1.  GF(2) and GF(3) eliminate the masks themselves;
-    larger primes need the ``{column: residue}`` rows of :func:`_rank_sparse`.
-    """
-    if p == 2:
-        return _rank_gf2([support for support, _ in rows])
-    if p == 3:
-        return _rank_gf3([(support & ~negative, negative) for support, negative in rows])
-    sparse = []
-    for support, negative in rows:
-        row = {}
-        while support:
-            low = support & -support
-            support ^= low
-            row[low.bit_length() - 1] = p - 1 if negative & low else 1
-        sparse.append(row)
-    return _rank_sparse(sparse, p)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +291,11 @@ def _outside_star(facets: list[int], bit: int) -> dict[int, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _subsets_holding(n: int) -> tuple[int, ...]:
     """For each j < n, the 2^n-bit mask of the subsets of range(n) holding j."""
-    if n == 0:
-        return ()
-    half = 1 << (n - 1)
-    return tuple(h | h << half for h in _subsets_holding(n - 1)) + (((1 << half) - 1) << half,)
+    masks: tuple[int, ...] = ()
+    for j in range(n):  # from the masks over range(j) to those over range(j + 1)
+        half = 1 << j
+        masks = tuple(h | h << half for h in masks) + (((1 << half) - 1) << half,)
+    return masks
 
 
 def _element_matchings(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
@@ -472,12 +414,13 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     """Homology ranks over GF(p) of the chain complex with basis ``layers[d]``.
 
     The differential sends a mask to the alternating sum of the masks one
-    bit smaller, keeping those present in ``layers[d - 1]``.  On the faces of
-    a downward-closed complex, keyed by dimension, this is the reduced
-    simplicial chain complex; on the faces of a complex outside a
-    subcomplex, the relative chain complex, since the dropped terms are
-    those of the subcomplex; on a Taylor strand, keyed by subset size, it is
-    the strand's differential.
+    bit smaller, keeping those present in ``layers[d - 1]``; each row goes to
+    :func:`_rank_sparse` as ``{column: 1 or p - 1}``, the term dropping the
+    lowest bit being +1.  On the faces of a downward-closed complex, keyed
+    by dimension, this is the reduced simplicial chain complex; on the faces
+    of a complex outside a subcomplex, the relative chain complex, since the
+    dropped terms are those of the subcomplex; on a Taylor strand, keyed by
+    subset size, it is the strand's differential.
 
     Ranks are taken from the top down, and a d-mask that is a pivot column
     of the differential on ``layers[d + 1]`` gets no row (clearing): the
@@ -488,7 +431,7 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     """
     pivots: dict[int, AbstractSet[int]] = {}
     for d in sorted(layers, reverse=True):
-        column = {m: 1 << k for k, m in enumerate(layers.get(d - 1, ()))}
+        column = {m: k for k, m in enumerate(layers.get(d - 1, ()))}
         if not column:
             continue
         cleared = pivots.get(d + 1, ())
@@ -496,17 +439,18 @@ def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
         for k, m in enumerate(layers[d]):
             if k in cleared:
                 continue
-            support = negative = sign = 0
+            row = {}
+            sign = 1  # flips between 1 and p - 1
             rest = m
             while rest:
                 low = rest & -rest
                 rest ^= low
-                bit = column.get(m ^ low, 0)
-                support |= bit
-                negative |= bit & sign  # sign flips between 0 and ~0
-                sign = ~sign
-            rows.append((support, negative))
-        pivots[d] = _boundary_rank(rows, p)
+                c = column.get(m ^ low)
+                if c is not None:
+                    row[c] = sign
+                sign = p - sign
+            rows.append(row)
+        pivots[d] = _rank_sparse(rows, p)
     ranks: dict[int, int] = {}
     for d in sorted(layers):
         r = len(layers[d]) - len(pivots.get(d, ())) - len(pivots.get(d + 1, ()))
@@ -687,30 +631,20 @@ class BettiTable:
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """All lcms of nonempty generator subsets, deduplicated and sorted."""
     return tuple(Monomial(ideal.alphabet, m)
-                 for m in sorted(_lattice(ideal).levels, key=_support_key))
-
-
-class _Lattice(NamedTuple):
-    """The lcm lattice of an ideal, three read-only maps keyed by element b
-    and holding the elements in one order.
-
-    ``levels[b]`` is the fewest generators whose lcm is b; ``divisors[b]``
-    the generators dividing b, as a mask over the generator order, so its
-    size is the most generators whose lcm is b; ``signs[b]`` the sum of
-    (-1)^|S| over the generator subsets S with lcm b, which is the Moebius
-    value mu(0, b) of the lattice with a bottom 0 added (Rota's crosscut
-    theorem).
-    """
-
-    levels: Mapping[int, int]
-    divisors: Mapping[int, int]
-    signs: Mapping[int, int]
+                 for m in sorted(_lattice(ideal), key=_support_key))
 
 
 @lru_cache(maxsize=1)
-def _lattice(ideal: MonomialIdeal) -> _Lattice:
-    """Every lcm of a nonempty generator subset, with its level, divisors
-    and signed subset count.
+def _lattice(ideal: MonomialIdeal) -> Mapping[int, tuple[int, int, int]]:
+    """The lcm lattice of an ideal: a read-only map from each lcm b of a
+    nonempty generator subset to ``(level, divisors, sign)``.
+
+    The level is the fewest generators whose lcm is b; the divisors are the
+    generators dividing b, as a mask over the generator order, so their
+    number is the most generators whose lcm is b; the sign is the sum of
+    (-1)^|S| over the generator subsets S with lcm b, which is the Moebius
+    value mu(0, b) of the lattice with a bottom 0 added (Rota's crosscut
+    theorem).
 
     The generators are folded in one at a time: joining g with each element
     so far reaches every new lcm, at one level more, so the work is at most
@@ -740,8 +674,7 @@ def _lattice(ideal: MonomialIdeal) -> _Lattice:
                 k, d, f = old
                 cells[joined] = (k if k <= level else level + 1, d | below | bit, f - sign)
         cells[g] = (1, bit, -1)  # a minimal generator is no lcm of earlier ones
-    # one map per value, all with the keys of cells in the same order
-    return _Lattice(*(MappingProxyType(dict(zip(cells, values))) for values in zip(*cells.values())))
+    return MappingProxyType(cells)
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -777,10 +710,8 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     """
     gens = ideal.generator_masks
     p = field_spec.characteristic
-    lattice = _lattice(ideal)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for (b, k), divisors, sign in zip(  # BettiTable sorts the entries
-            lattice.levels.items(), lattice.divisors.values(), lattice.signs.values()):
+    for b, (k, divisors, sign) in _lattice(ideal).items():  # BettiTable sorts the entries
         if divisors.bit_count() <= k + 1:  # the Taylor strand at b has no other ranks
             if sign:
                 entries[(k, b)] = -sign if k & 1 else sign

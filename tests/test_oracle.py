@@ -39,7 +39,6 @@ from hyperreg.oracle import (
     MAX_TAYLOR_GENERATORS,
     FieldSpec,
     SimplicialComplex,
-    _boundary_rank,
     _chain_ranks,
     _critical_cells,
     _faces_of_facets,
@@ -87,7 +86,7 @@ class TestFieldSpec:
 
 
 class TestBoundaryRank:
-    """The sparse kernel against dense elimination on seeded random matrices."""
+    """The one rank kernel against dense elimination on seeded random matrices."""
 
     PRIMES = (2, 3, 5, 65521)
 
@@ -115,7 +114,8 @@ class TestBoundaryRank:
         for _ in range(150):
             nrows, ncols = rng.randint(0, 14), rng.randint(1, 14)
             rows = self.signed_rows(rng, nrows, ncols)
-            assert len(_boundary_rank(rows, p)) == dense_rank(self.dense(rows, ncols, p), p)
+            rank = len(_rank_sparse(self.sparse(rows, p), p))
+            assert rank == dense_rank(self.dense(rows, ncols, p), p)
 
     @pytest.mark.parametrize("p", PRIMES[1:])
     def test_arbitrary_residues_match_dense(self, p):
@@ -130,8 +130,8 @@ class TestBoundaryRank:
 
     def test_empty_and_zero_rows(self):
         for p in self.PRIMES:
-            assert len(_boundary_rank([], p)) == 0
-            assert len(_boundary_rank([(0, 0)] * 3, p)) == 0
+            assert len(_rank_sparse([], p)) == 0
+            assert len(_rank_sparse(self.sparse([(0, 0)] * 3, p), p)) == 0
             assert len(_rank_sparse([{}, {}], p)) == 0
 
     @staticmethod
@@ -150,25 +150,23 @@ class TestBoundaryRank:
                     rows[k] = (sup, neg | 1 << sup.bit_length() - 1)
             rows += [(0, 0)] * rng.randint(0, 2)
             rng.shuffle(rows)
-            pivots = _boundary_rank(rows, 3)
-            # the same highest-column rule gives the same pivot columns
-            assert set(pivots) == set(_rank_sparse(self.sparse(rows, 3), 3))
-            assert len(pivots) == dense_rank(self.dense(rows, ncols, 3), 3)
+            rank = len(_rank_sparse(self.sparse(rows, 3), 3))
+            assert rank == dense_rank(self.dense(rows, ncols, 3), 3)
 
     def test_gf3_leading_minus_one_pivots(self):
         # e0 - e1 is stored as e1 - e0; e0 + e1 then reduces to 2e0 = -e0, a
         # pivot, and -e0 - e1 to -2e0 = e0, which that pivot clears
         rows = [(0b11, 0b10), (0b11, 0), (0b11, 0b11)]
-        assert sorted(_boundary_rank(rows, 3)) == [0, 1]
+        assert sorted(_rank_sparse(self.sparse(rows, 3), 3)) == [0, 1]
         # multiples of e0 + e1, leading with +1 or -1, all reduce to zero
         rows = [(0b11, 0), (0b11, 0b11), (0b11, 0)]
-        assert sorted(_boundary_rank(rows, 3)) == [1]
+        assert sorted(_rank_sparse(self.sparse(rows, 3), 3)) == [1]
 
     def test_characteristic_matters(self):
         # rows e0+e1, e1+e2, e0+e2: dependent over GF(2) only
         rows = [(0b011, 0), (0b110, 0), (0b101, 0)]
-        assert len(_boundary_rank(rows, 2)) == 2
-        assert len(_boundary_rank(rows, 3)) == 3
+        assert len(_rank_sparse(self.sparse(rows, 2), 2)) == 2
+        assert len(_rank_sparse(self.sparse(rows, 3), 3)) == 3
 
 
 class TestSimplicialComplex:
@@ -289,6 +287,10 @@ class TestLcmLattice:
         assert top.mask == ideal.variables_used
 
 
+def lattice_levels(ideal):
+    return {b: level for b, (level, _, _) in _lattice(ideal).items()}
+
+
 class TestLatticeLevels:
     """The incremental closure against a scan of every generator subset."""
 
@@ -300,11 +302,11 @@ class TestLatticeLevels:
     @given(ideals())
     @settings(max_examples=300, deadline=None)
     def test_matches_subset_scan(self, ideal):
-        assert _lattice(ideal).levels == subset_scan_levels(ideal)
+        assert lattice_levels(ideal) == subset_scan_levels(ideal)
 
     def test_collision_keeps_the_smaller_level(self):
         ideal = parse_ideal(self.COLLISION)
-        levels = _lattice(ideal).levels
+        levels = lattice_levels(ideal)
         assert levels == subset_scan_levels(ideal)
         assert max(m.bit_count() - k for m, k in levels.items()) == 4
 
@@ -315,20 +317,23 @@ class TestLatticeLevels:
         # the fewest and the most generators with lcm b, and the signed count
         lattice = _lattice(ideal)
         gens = ideal.generator_masks
-        assert {b: (lattice.levels[b], lattice.divisors[b].bit_count(), lattice.signs[b])
-                for b in lattice.levels} == subset_scan_strands(ideal)
-        for b, divisors in lattice.divisors.items():
+        assert {b: (level, divisors.bit_count(), sign)
+                for b, (level, divisors, sign) in lattice.items()} == subset_scan_strands(ideal)
+        for b, (_, divisors, _) in lattice.items():
             assert divisors == sum(1 << j for j, g in enumerate(gens) if g & ~b == 0)
 
     def test_cached_levels_are_read_only(self):
         ideal = parse_ideal(self.COLLISION)
         lattice = _lattice(ideal)
-        for values in lattice:
-            assert isinstance(values, MappingProxyType)
+        assert isinstance(lattice, MappingProxyType)
+        with pytest.raises(TypeError):
+            lattice[0b1000] = (9, 0, 0)
+        for values in lattice.values():
+            assert isinstance(values, tuple)
             with pytest.raises(TypeError):
-                values[0b1000] = 9
+                values[0] = 9
         assert _lattice(ideal) is lattice
-        assert _lattice(ideal).levels == subset_scan_levels(ideal)
+        assert lattice_levels(ideal) == subset_scan_levels(ideal)
         assert taylor_regularity_bound(ideal) == 4
 
 
@@ -975,6 +980,19 @@ def test_morse_flow_does_not_recurse(morse_flows):
     assert morse_flows
 
 
+def test_face_masks_build_without_recursion():
+    # the first 16-facet core builds the 2^16-bit masks of _subsets_holding;
+    # built by recursion on the number of facets, they would pass this limit
+    oracle._subsets_holding.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 10)
+    try:
+        ranks = _union_homology(DEEP, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ranks == {2: 3, 3: 2}
+
+
 @pytest.mark.parametrize("n", [16, 17])
 def test_cores_past_16_vertices_take_the_chain_complex(chain_bases, n):
     # a cycle of n edges is its own core; the matchings take at most
@@ -1072,8 +1090,8 @@ def test_clearing_matches_uncleared_reference_on_taylor_strands():
 def kernel_rows(monkeypatch):
     """Records how many rows each call of the rank kernel receives."""
     counts = []
-    original = oracle._boundary_rank
-    monkeypatch.setattr(oracle, "_boundary_rank",
+    original = oracle._rank_sparse
+    monkeypatch.setattr(oracle, "_rank_sparse",
                         lambda rows, p: counts.append(len(rows)) or original(rows, p))
     return counts
 
@@ -1124,8 +1142,7 @@ class TestSettledDegrees:
         # the three pairs of (ab, bc, ac) each have lcm abc, and so do all three
         ideal = word_ideal("ab bc ac")
         top = mono(ideal, "abc").mask
-        lattice = _lattice(ideal)
-        assert (lattice.levels[top], lattice.divisors[top], lattice.signs[top]) == (2, 0b111, 2)
+        assert _lattice(ideal)[top] == (2, 0b111, 2)
         assert subset_scan_strands(ideal)[top] == (2, 3, 2)
         for f in (GF2, GF3, GF5):
             assert degree_names(betti_table(ideal, f))[(2, ("a", "b", "c"))] == 2
@@ -1135,8 +1152,7 @@ class TestSettledDegrees:
         # of the pairs of (ab, bc, cd) only {ab, cd} has lcm abcd: r = 1
         ideal = word_ideal("ab bc cd")
         top = mono(ideal, "abcd").mask
-        lattice = _lattice(ideal)
-        assert (lattice.levels[top], lattice.divisors[top], lattice.signs[top]) == (2, 0b111, 0)
+        assert _lattice(ideal)[top] == (2, 0b111, 0)
         assert subset_scan_strands(ideal)[top] == (2, 3, 0)
         for f in (GF2, GF3, GF5):
             assert all(b != top for _, b in betti_table(ideal, f).entries)
@@ -1153,16 +1169,15 @@ class TestSettledDegrees:
         ideal = parse_ideal(text)
         for f in (GF2, GF3):
             betti_table(ideal, f)
-        assert len(_lattice(ideal).levels) == degrees
+        assert len(_lattice(ideal)) == degrees
         assert len(homology_calls) == 2 * calls
 
     @given(ideals(max_vars=10, max_gens=10))
     @settings(max_examples=200, deadline=None)
     def test_settled_degrees_match_union_homology(self, ideal):
         # the route the settled degrees no longer take, over every field
-        lattice = _lattice(ideal)
-        settled = [b for b, k in lattice.levels.items()
-                   if lattice.divisors[b].bit_count() <= k + 1]
+        settled = [b for b, (k, divisors, _) in _lattice(ideal).items()
+                   if divisors.bit_count() <= k + 1]
         for p in PRIMES:
             entries = betti_table(ideal, FieldSpec(p)).entries
             for b in settled:
