@@ -38,32 +38,30 @@ collapses*).  When every generator dividing b has a variable of b that no
 other divisor has, that settles the degree: beta_{k,b} = 1 for the k
 divisors, as in the Taylor complex, and no other rank there (betti_table
 reads such degrees off the lattice first).  Cones
-and a peel that covers the complex give no homology.
-
-A core left with at most 16 facets (so its nerve is under the face cap) is
-settled on the nerve: vertex i is facet i, and the faces, one bit per facet
-subset, are generated by the sets of facets holding each vertex of the
-union.  Element matchings pair a face with the face one element larger, for
-each element in turn.  They are acyclic (Jonsson, *Simplicial Complexes of
-Graphs*) and every incidence is +1 or -1, so the unmatched, critical cells
-carry a Morse complex with the same integral homology (Forman, *Morse
-theory for cell complexes*).  When no two adjacent dimensions hold critical
-cells, their counts are the ranks; otherwise the Morse differential between
-them is read off the gradient flow, which visits each face at most once,
-and its ranks are taken mod p.  Torsion is therefore exact, with no
-boundary matrix of the complex built.
-
-A core with more facets is shrunk by deleting dominated vertices in passes
+and a peel that covers the complex give no homology.  Where nothing peels
+and more than 16 facets remain, dominated vertices are deleted in passes
 (a strong collapse, which preserves homotopy type and hence all homology
-ranks).  A core that is the boundary of a simplex is a sphere and builds no
-faces.  Otherwise a core on at most 16 vertices is matched the same way on
-its own faces, the first element being v, the vertex in the most facets,
-and settled when its critical cells skip dimensions.  Other cores reach the
+ranks), and the peel goes on with what is left; the boundary of a simplex
+peels to a sphere.
+
+Past the peel there are two routines.  Element matchings pair a face with
+the face one element larger, for each element in turn.  They are acyclic
+(Jonsson, *Simplicial Complexes of Graphs*) and every incidence is +1 or
+-1, so the unmatched, critical cells carry a Morse complex with the same
+integral homology (Forman, *Morse theory for cell complexes*).  Its
+differential between critical cells of adjacent dimensions is read off the
+gradient flow, which visits each face at most once, and its ranks are
+taken mod p, so torsion is exact.  The faces are one bit per element
+subset, so the elements are at most 16: a core with at most 16 facets is
+matched on its nerve, where vertex i is facet i and the faces are
+generated by the sets of facets holding each vertex of the union, and a
+core with more, on at most 16 vertices, on its own faces, the first
+element being v, the vertex in the most facets.  Other cores reach the
 boundary matrices relative to the closed star of v, a cone, so H~(K) =
 H(K, st v) and only the faces outside the star get a basis element
 (Mrozek-Pilarczyk-Zelazna, *Homology algorithm based on acyclic
-subspace*); the first matching is that excision.  The raw no-collapse path
-eliminates the whole complex, and is kept and cross-checked by the tests.
+subspace*).  The raw no-collapse path eliminates the whole complex, and is
+kept and cross-checked by the tests.
 
 The lcm lattice is built as a closure, one generator at a time, into one
 read-only map from each element to its level, divisors and signed count;
@@ -74,7 +72,6 @@ place, from one build per ideal.  Only the Taylor-complex routes scan all
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -321,15 +318,6 @@ def _element_matchings(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
     return cells, steps
 
 
-def _critical_cells(facets: list[int], order: list[int]) -> dict[int, int]:
-    """Critical cells by dimension of the element matchings, for the
-    vertices in ``order`` one after another, on the faces of ``facets``;
-    vertex order[j] becomes bit j."""
-    critical, _ = _element_matchings(
-        (sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets), len(order))
-    return Counter(s.bit_count() - 1 for s in _bits(critical))
-
-
 def _morse_flow(face: int, critical: int, steps: list[int],
                 flows: dict[int, dict[int, int]]) -> dict[int, int]:
     """The critical cells, with integer coefficients, that the gradient flow
@@ -368,25 +356,17 @@ def _morse_flow(face: int, critical: int, steps: list[int],
     return flows[face]
 
 
-def _nerve_homology(facets: list[int], p: int) -> dict[int, int]:
-    """Reduced homology ranks over GF(p) of the union of the given full
-    simplices, taken on the nerve of the facets.
+def _morse_homology(tops: Iterable[int], n: int, p: int) -> dict[int, int]:
+    """Reduced homology ranks over GF(p) of the downward closure of the
+    subsets ``tops`` of range(n), from its element matchings.
 
-    Vertex i of the nerve is facets[i], and its faces are generated by the
-    sets of facets holding each vertex of the union.  The element matchings
-    on the nerve's faces leave critical cells that carry a Morse complex with
-    the same integral homology (Forman, *Morse theory for cell complexes*).
-    When no two adjacent dimensions hold critical cells, their counts are the
-    ranks; otherwise the Morse differential between the critical cells of
-    adjacent dimensions is read off the gradient flow and reduced mod p.
+    The critical cells carry a Morse complex with the same integral homology
+    (Forman, *Morse theory for cell complexes*).  Its differential between
+    the critical cells of adjacent dimensions is read off the gradient flow
+    and reduced mod p; where no two adjacent dimensions hold critical cells,
+    there is none, and their counts are the ranks.
     """
-    holders: dict[int, int] = {}  # vertex bit: the facets holding it
-    for i, f in enumerate(facets):
-        while f:
-            low = f & -f
-            f ^= low
-            holders[low] = holders.get(low, 0) | 1 << i
-    critical, steps = _element_matchings(holders.values(), len(facets))
+    critical, steps = _element_matchings(tops, n)
     cells: dict[int, list[int]] = {}
     for s in _bits(critical):
         cells.setdefault(s.bit_count() - 1, []).append(s)
@@ -408,6 +388,22 @@ def _nerve_homology(facets: list[int], p: int) -> dict[int, int]:
         if r:
             homology[d] = r
     return homology
+
+
+def _nerve_homology(facets: list[int], p: int) -> dict[int, int]:
+    """Reduced homology ranks over GF(p) of the union of the given full
+    simplices, taken on the nerve of the facets by :func:`_morse_homology`.
+
+    Vertex i of the nerve is facets[i], and its faces are generated by the
+    sets of facets holding each vertex of the union.
+    """
+    holders: dict[int, int] = {}  # vertex bit: the facets holding it
+    for i, f in enumerate(facets):
+        while f:
+            low = f & -f
+            f ^= low
+            holders[low] = holders.get(low, 0) | 1 << i
+    return _morse_homology(holders.values(), len(facets), p)
 
 
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
@@ -476,19 +472,16 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     in all facets, which maximalizing the f & C can create), and for the
     complex whose only face is empty.
 
-    A core left without such facets, m of them with 2^m <=
-    ``MAX_COMPLEX_FACES``, is settled on its nerve by
-    :func:`_nerve_homology`, with the facets in the order the peel leaves
-    them.  A core with more facets is strong-collapsed.  After the
-    collapse, n facets of size n - 1 on n vertices are the boundary of a
-    simplex, a sphere of dimension n - 2.  With the vertices by falling
-    facet count, the lowest on a tie, a core on n vertices with 2^n <=
-    ``MAX_COMPLEX_FACES`` is settled when its element matchings leave
-    critical cells in no two adjacent dimensions: the Morse complex then
-    has no differential (Jonsson, *Simplicial Complexes of Graphs*;
-    Forman, *Morse theory for cell complexes*).  Anything else goes
-    through the chain complex relative to the closed star of the first
-    vertex.
+    A core left without such facets, with more than 16 of them, is
+    strong-collapsed, and the peel goes on unless the collapse deleted
+    nothing; after a collapse to the boundary of a simplex every facet is
+    peeled, with C empty.  A core of m facets with 2^m <=
+    ``MAX_COMPLEX_FACES`` is settled on its nerve by :func:`_nerve_homology`,
+    with the facets in the order the peel leaves them.  A core with more,
+    on n vertices with 2^n <= ``MAX_COMPLEX_FACES``, is settled by
+    :func:`_morse_homology` on its own faces, with the vertices by falling
+    facet count, the lowest on a tie.  Anything else goes through the chain
+    complex relative to the closed star of the first of those vertices.
     """
     shift = 0
     while True:
@@ -505,7 +498,13 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
             return {shift - 1: 1}
         private = union & once & ~twice  # vertices missed by one facet only
         if not private:
-            break
+            if 1 << len(facets) <= MAX_COMPLEX_FACES:
+                break
+            core = _strong_collapse(facets)
+            if core == facets:
+                break
+            facets = core
+            continue
         meet = -1
         rest = []
         for f in facets:
@@ -518,20 +517,15 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
             return {} if rest else {shift - 2: 1}
         facets = _maximal_masks([f & meet for f in rest])
     if 1 << len(facets) <= MAX_COMPLEX_FACES:
-        return {d + shift: r for d, r in _nerve_homology(facets, p).items()}
-    facets = _strong_collapse(facets)
-    n = len(facets)
-    union = 0
-    for f in facets:
-        union |= f
-    if union.bit_count() == n and all(f.bit_count() == n - 1 for f in facets):
-        return {n - 2 + shift: 1}
-    order = sorted(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets), reverse=True)
-    if 1 << len(order) <= MAX_COMPLEX_FACES:
-        critical = _critical_cells(facets, order)
-        if all(d + 1 not in critical for d in critical):
-            return {d + shift: c for d, c in critical.items()}
-    return {d + shift: r for d, r in _chain_ranks(_outside_star(facets, 1 << order[0]), p).items()}
+        homology = _nerve_homology(facets, p)
+    else:
+        order = sorted(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets), reverse=True)
+        if 1 << len(order) <= MAX_COMPLEX_FACES:
+            homology = _morse_homology(
+                (sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets), len(order), p)
+        else:
+            homology = _chain_ranks(_outside_star(facets, 1 << order[0]), p)
+    return {d + shift: r for d, r in homology.items()}
 
 
 def reduced_homology_ranks(
@@ -540,8 +534,9 @@ def reduced_homology_ranks(
 
     With ``precollapse`` the complex takes the route of ``betti_table``:
     it is peeled (a known suspension of the same homotopy type, so the
-    ranks shift by a known amount), then a core of at most 16 facets is
-    settled on its nerve and only a core with more is strong-collapsed.
+    ranks shift by a known amount), with a strong collapse where nothing
+    peels and more than 16 facets remain; then a core of at most 16 facets
+    or vertices is settled by element matchings and its Morse differential.
     Without it the boundary matrices of the complex are eliminated as given.
     """
     if complex_.is_void:

@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
+from math import comb
 from types import MappingProxyType
 
 import pytest
@@ -29,7 +30,8 @@ from helpers import (
 from hyperreg import oracle
 from hyperreg.bounds import taylor_regularity_bound
 from hyperreg.hypergraph import build_hypergraph, is_saturated
-from hyperreg.monomials import Alphabet, Monomial, _bits, alexander_dual, parse_ideal
+from hyperreg.monomials import (
+    Alphabet, Monomial, MonomialIdeal, _bits, _support_key, alexander_dual, parse_ideal)
 from hyperreg.oracle import (
     GF2,
     GF3,
@@ -40,10 +42,11 @@ from hyperreg.oracle import (
     FieldSpec,
     SimplicialComplex,
     _chain_ranks,
-    _critical_cells,
+    _element_matchings,
     _faces_of_facets,
     _lattice,
     _maximal_masks,
+    _morse_homology,
     _nerve_homology,
     _outside_star,
     _rank_sparse,
@@ -810,19 +813,35 @@ def ordered_families(draw):
     return facets, draw(st.permutations(list(_bits(_union(facets)))))
 
 
+def local_tops(facets, order):
+    """The facets on local bits: vertex order[j] becomes bit j."""
+    return [sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets]
+
+
+def critical_counts(facets, order):
+    """Critical cells by dimension of the element matchings, for the vertices
+    in ``order`` one after another, on the faces of ``facets``."""
+    critical, _ = _element_matchings(local_tops(facets, order), len(order))
+    return Counter(s.bit_count() - 1 for s in _bits(critical))
+
+
 @given(ordered_families())
 @example(([0], []))  # only the empty face
 @example((OCTAHEDRON, list(range(6))))
+@example((RP2, list(range(6))))
 @settings(max_examples=300, deadline=None)
-def test_settled_critical_cells_are_the_ranks(family):
-    # critical cells in no two adjacent dimensions leave the Morse complex
-    # without a differential, over every field
+def test_vertex_morse_homology_is_the_ranks(family):
+    # the Morse differential, read off the gradient flow, gives the ranks for
+    # every vertex order; critical cells in no two adjacent dimensions leave
+    # the Morse complex without a differential, over every field
     facets, order = family
-    critical = _critical_cells(facets, order)
-    if all(d + 1 not in critical for d in critical):
-        layers = _faces_of_facets(facets)
-        for p in PRIMES:
-            assert _chain_ranks(layers, p) == critical
+    critical = critical_counts(facets, order)
+    layers = _faces_of_facets(facets)
+    for p in PRIMES:
+        expected = _chain_ranks(layers, p)
+        assert _morse_homology(local_tops(facets, order), len(order), p) == expected
+        if all(d + 1 not in critical for d in critical):
+            assert expected == critical
 
 
 @given(ordered_families())
@@ -830,7 +849,7 @@ def test_settled_critical_cells_are_the_ranks(family):
 @settings(max_examples=300, deadline=None)
 def test_critical_cells_bound_the_ranks_and_keep_the_euler_characteristic(family):
     facets, order = family
-    critical = _critical_cells(facets, order)
+    critical = critical_counts(facets, order)
     layers = _faces_of_facets(facets)
     for p in (2, 3):
         for d, rank in _chain_ranks(layers, p).items():
@@ -844,9 +863,14 @@ def test_critical_cells_bound_the_ranks_and_keep_the_euler_characteristic(family
 ADJACENT = [0b010111, 0b111100, 0b100011, 0b011001, 0b001110]
 
 
-def test_adjacent_critical_cells_fall_through(collapses, chain_bases, morse_flows):
-    # every vertex but 5 lies in three facets, so the vertex matchings take them in order
-    assert _critical_cells(ADJACENT, list(range(6))) == {1: 2, 2: 1}
+def test_adjacent_critical_cells_take_the_morse_differential(collapses, chain_bases, morse_flows):
+    # every vertex but 5 lies in three facets, so the vertex matchings take
+    # them in order, and the Morse differential cancels the pair
+    order = list(range(6))
+    assert critical_counts(ADJACENT, order) == {1: 2, 2: 1}
+    for p in (2, 3, 5):
+        assert _morse_homology(local_tops(ADJACENT, order), len(order), p) == {1: 1}
+    assert morse_flows
     # on the nerve, the matchings over the facets in order leave one 1-cell;
     # in the reverse order they leave the cancelling pair beside it, and the
     # Morse differential cancels it
@@ -1184,3 +1208,76 @@ class TestSettledDegrees:
                 facets = [b & ~g for g in ideal.generator_masks if g & ~b == 0]
                 expected = {d + 2: r for d, r in _union_homology(facets, p).items()}
                 assert {i: r for (i, m), r in entries.items() if m == b} == expected
+
+
+# RP^2 on vertices 0..5 beside a 10-cycle on vertices 6..15: 20 facets on 16
+# vertices, with no vertex peeled or collapsed
+RP2_AND_CYCLE10 = RP2 + [1 << 6 + k | 1 << 6 + (k + 1) % 10 for k in range(10)]
+
+
+def test_vertex_side_takes_the_morse_differential(face_builds, chain_bases, morse_flows):
+    # more than 16 facets, so the core is matched on its 16 vertices; the
+    # torsion of RP^2 leaves critical cells in adjacent dimensions
+    assert sorted(_strong_collapse(RP2_AND_CYCLE10)) == sorted(RP2_AND_CYCLE10)
+    assert _union_homology(RP2_AND_CYCLE10, 2) == {0: 1, 1: 2, 2: 1}
+    for p in (3, 5):
+        assert _union_homology(RP2_AND_CYCLE10, p) == {0: 1, 1: 1}
+    assert face_builds == []
+    assert chain_bases == []
+    assert morse_flows
+
+
+def test_strong_collapse_hands_back_to_the_peel(face_builds, collapses, chain_bases):
+    # the boundary of the 17-simplex on vertices 0..17, and beside each facet
+    # missing i and i + 1 a vertex 18 + i of its own: no vertex is private,
+    # and deleting the 18 new vertices leaves the boundary, which the peel
+    # settles.  The facet opposite a vertex alone has 2^17 faces
+    full = (1 << 18) - 1
+    facets = _maximal_masks([full ^ 1 << i for i in range(18)]
+                            + [(full ^ 1 << i ^ 1 << (i + 1) % 18) | 1 << (18 + i)
+                               for i in range(18)])
+    assert len(facets) == 36
+    for p in (2, 3):
+        assert _union_homology(facets, p) == {16: 1}
+    assert collapses == [facets] * 2  # once per prime, then the peel ends
+    assert face_builds == []
+    assert chain_bases == []
+
+
+@st.composite
+def wide_families(draw):
+    """An antichain of 17 to 24 facets on at most 9 vertices: k-sets, which
+    form an antichain, and a few facets of any size, maximalized."""
+    n = draw(st.integers(min_value=7, max_value=9))
+    k = draw(st.sampled_from([k for k in range(n) if comb(n, k) >= 17]))
+    pool = [sum(1 << v for v in c) for c in combinations(range(n), k)]
+    facets = draw(st.lists(st.sampled_from(pool), min_size=17, max_size=24, unique=True))
+    facets += draw(st.lists(st.integers(1, (1 << n) - 1), max_size=3))
+    facets = _maximal_masks(facets)
+    assume(len(facets) >= 17)
+    return facets
+
+
+@given(wide_families())
+@example(RP2_AND_CYCLE10)
+@settings(max_examples=200, deadline=None)
+def test_cores_past_16_facets_match_chain_complex(facets):
+    layers = _faces_of_facets(facets)
+    for p in PRIMES:
+        assert _union_homology(facets, p) == _chain_ranks(layers, p)
+
+
+def test_betti_table_past_16_facets_matches_hochster_formula(collapses):
+    # ideals of 17 to 20 generators of one size on 8 variables: the top degree
+    # has a facet per generator and no private vertex, so it reaches the collapse
+    rng = random.Random(17)
+    alphabet = Alphabet(variable_names(8))
+    for size in (3, 4, 3, 4):
+        pool = [sum(1 << v for v in c) for c in combinations(range(8), size)]
+        gens = rng.sample(pool, rng.randint(17, 20))
+        ideal = MonomialIdeal(alphabet, tuple(sorted(gens, key=_support_key)))
+        betti_table.cache_clear()
+        collapses.clear()
+        for p in (2, 3, 5):
+            assert dict(betti_table(ideal, FieldSpec(p)).entries) == hochster_betti(ideal, p)
+        assert collapses
