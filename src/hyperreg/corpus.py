@@ -159,8 +159,8 @@ def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str,
     values: dict[str, object] = {
         "label_count": hypergraph.label_count,
         "num_vertices": hypergraph.num_vertices,
-        "dim": hg.dimension(hypergraph),
-        "edges": sorted((sorted(e) for e in hypergraph.edges), key=lambda e: (len(e), e)),
+        "dim": report.dim,
+        "edges": [sorted(e) for e in hypergraph.edges],
         "open_vertices": sorted(hg.open_vertices(hypergraph)),
         "saturated": hg.is_saturated(hypergraph),
         "taylor_minimal": taylor_minimal,

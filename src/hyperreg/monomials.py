@@ -5,7 +5,8 @@ as a bit mask over a fixed, sorted alphabet, so divisibility, lcm, colon
 and sum are single word operations.  Ideals always hold a minimal
 generating set in a canonical order (degree first, then position-wise
 lexicographic on the support), which makes structural equality of ideals
-meaningful.
+meaningful.  ``_minimal_masks`` builds that set, and the constructor
+checks every :class:`MonomialIdeal` against it.
 
 The unit ideal is never a value of :class:`MonomialIdeal`; operations that
 would produce it raise :class:`UnitIdealError` instead, because every
@@ -146,9 +147,9 @@ def lcm(monomials: Iterable[Monomial]) -> Monomial:
 class MonomialIdeal:
     """Proper square-free monomial ideal with canonical minimal generators.
 
-    ``generator_masks`` must already be minimal (an antichain under
-    containment), duplicate-free and canonically ordered; use
-    :func:`minimalize` to normalize arbitrary input.
+    ``generator_masks`` must equal their own ``_minimal_masks``: minimal,
+    duplicate-free and canonically ordered; use :func:`minimalize` to
+    normalize arbitrary input.
     """
 
     alphabet: Alphabet
@@ -164,12 +165,8 @@ class MonomialIdeal:
                 raise UnitIdealError("1 is a generator")
             if m & ~top:
                 raise ValueError("generator support outside alphabet")
-        if list(masks) != sorted(set(masks), key=_support_key):
-            raise ValueError("generators not in canonical order")
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if a & ~b == 0 or b & ~a == 0:
-                    raise ValueError("generating set is not minimal")
+        if list(masks) != _minimal_masks(masks):
+            raise ValueError("generators not minimal, distinct and in canonical order")
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
@@ -203,8 +200,8 @@ class MonomialIdeal:
 def minimalize(monomials: Iterable[Monomial]) -> MonomialIdeal:
     """Drop every monomial whose support contains another's; canonicalize.
 
-    Raises :class:`UnitIdealError` when some input equals 1 and
-    :class:`ValueError` on an empty input.
+    Raises :class:`ValueError` on an empty input; when some input equals 1,
+    it is the only minimal mask and the constructor raises :class:`UnitIdealError`.
     """
     monomials = list(monomials)
     if not monomials:
@@ -213,8 +210,6 @@ def minimalize(monomials: Iterable[Monomial]) -> MonomialIdeal:
     for m in monomials:
         if m.alphabet != alphabet:
             raise ValueError("monomials live over different alphabets")
-        if m.is_one:
-            raise UnitIdealError("1 among the generators")
     return MonomialIdeal(alphabet, tuple(_minimal_masks(m.mask for m in monomials)))
 
 
@@ -266,7 +261,7 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
             raise CapExceededError(
                 f"Alexander dual capped at {MAX_TRANSVERSALS} candidate transversals")
         transversals = _minimal_masks(grown)
-    return MonomialIdeal(ideal.alphabet, tuple(sorted(transversals, key=_support_key)))
+    return MonomialIdeal(ideal.alphabet, tuple(transversals))
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:

@@ -207,6 +207,7 @@ class SimplicialComplex:
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    # facet-side dual of _minimal_masks: hot in every peel round, so no canonical order
     kept: list[int] = []
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
         for k in kept:

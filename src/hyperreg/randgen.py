@@ -41,8 +41,7 @@ def random_ideal(rng: random.Random, num_vars: int, num_gens: int) -> MonomialId
     top = 1 << num_vars
     for _ in range(_MAX_ATTEMPTS):
         masks = [rng.randrange(1, top) for _ in range(num_gens)]
-        if len(set(masks)) != num_gens:
-            continue
+        # a pair with i != j and a == b is comparable too, so this also rejects duplicates
         if any(i != j and a & ~b == 0
                for i, a in enumerate(masks) for j, b in enumerate(masks)):
             continue

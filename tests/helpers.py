@@ -9,6 +9,7 @@ from hyperreg.hypergraph import LabeledHypergraph, dimension
 from hyperreg.monomials import (
     Alphabet,
     MonomialIdeal,
+    UnitIdealError,
     _bits,
     _minimal_masks,
     _support_key,
@@ -39,6 +40,27 @@ def brute_force_dual(ideal: MonomialIdeal) -> MonomialIdeal:
     minimal = [m for m in transversals
                if not any(t != m and t & ~m == 0 for t in transversals)]
     return MonomialIdeal(ideal.alphabet, tuple(sorted(minimal, key=_support_key)))
+
+
+def reference_generator_check(num_vars: int, masks: tuple[int, ...]) -> type | None:
+    """Independent rule for ``MonomialIdeal`` generators: the exception class
+    the constructor must raise, or None when the tuple is canonical.  Order
+    is checked by sorting, minimality by comparing every pair."""
+    if not masks:
+        return ValueError
+    top = (1 << num_vars) - 1
+    for m in masks:
+        if m == 0:
+            return UnitIdealError
+        if m & ~top:
+            return ValueError
+    if list(masks) != sorted(set(masks), key=_support_key):
+        return ValueError
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if a & ~b == 0 or b & ~a == 0:
+                return ValueError
+    return None
 
 
 @st.composite

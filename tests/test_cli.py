@@ -2,6 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +246,21 @@ class TestPinnedBytes:
         assert "tightness:\n  taylor_bound: slack 1\n" in out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a84b80757ebb8b3dcf10342b832e84890099ee86f7598c756a19ee89cd733998")
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "12345"])
+def test_pinned_random_bytes_under_hash_seeds(hashseed):
+    """The random-gf3 bytes of ``TestPinnedBytes``, in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "hyperreg", "random", "--vars", "12", "--gens", "10",
+         "--count", "15", "--seed", "3", "--field", "3", "--json"],
+        capture_output=True, env=env, check=False)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert hashlib.sha256(run.stdout).hexdigest() == (
+        "3a5059b1ec8495b36de59b49ba9bf460cad083cd4a4fa12135b7949d2a5b8bb2")
 
 
 class TestOneHypergraph:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dual, word_ideal
+from helpers import brute_force_dual, reference_generator_check, word_ideal
 from hyperreg import oracle
 from hyperreg.monomials import (
     MAX_TRANSVERSALS,
@@ -15,6 +15,7 @@ from hyperreg.monomials import (
     Monomial,
     MonomialIdeal,
     UnitIdealError,
+    _minimal_masks,
     add_generator,
     alexander_dual,
     colon_by_monomial,
@@ -97,8 +98,9 @@ class TestMinimalize:
 
     def test_unit_input_signaled(self):
         alphabet = Alphabet.of("ab")
-        with pytest.raises(UnitIdealError):
-            minimalize([Monomial(alphabet, 0), Monomial.of(alphabet, "a")])
+        for masks in [(0, 1), (1, 2, 0), (0,), (0, 3, 0)]:  # 1 first, last, alone, twice
+            with pytest.raises(UnitIdealError):
+                minimalize([Monomial(alphabet, m) for m in masks])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -231,6 +233,39 @@ def monomial_sets(draw):
     masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
                           min_size=1, max_size=6))
     return [Monomial(alphabet, m) for m in masks]
+
+
+@st.composite
+def generator_tuples(draw):
+    """Tuples of masks for a 5-variable alphabet: often a canonical set, then
+    perhaps disturbed by a swap, a duplicate or an arbitrary mask from -1 to
+    63, which may be 0, comparable to another or outside the alphabet."""
+    masks = draw(st.lists(st.integers(-1, 63), max_size=6))
+    if draw(st.booleans()):
+        masks = _minimal_masks(m for m in masks if 0 < m < 32)
+        change = draw(st.sampled_from(["none", "swap", "duplicate", "insert"]))
+        if change == "swap" and len(masks) > 1:
+            i, j = draw(st.lists(st.integers(0, len(masks) - 1),
+                                 min_size=2, max_size=2, unique=True))
+            masks[i], masks[j] = masks[j], masks[i]
+        elif change == "duplicate" and masks:
+            masks.insert(draw(st.integers(0, len(masks))), draw(st.sampled_from(masks)))
+        elif change == "insert":
+            masks.insert(draw(st.integers(0, len(masks))), draw(st.integers(-1, 63)))
+    return tuple(masks)
+
+
+@given(generator_tuples())
+@settings(max_examples=400, deadline=None)
+def test_constructor_decides_like_the_reference_rule(masks):
+    alphabet = Alphabet(tuple("abcde"))
+    expected = reference_generator_check(len(alphabet), masks)
+    if expected is None:
+        assert MonomialIdeal(alphabet, masks).generator_masks == masks
+    else:
+        with pytest.raises(expected) as exc:
+            MonomialIdeal(alphabet, masks)
+        assert type(exc.value) is expected
 
 
 @given(monomial_sets())
