@@ -70,8 +70,8 @@ _PARSER = _build_parser()
 
 def _load_ideal(path: str) -> MonomialIdeal:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IdealFormatError(f"cannot read {path}: {exc}") from exc
     return parse_ideal(text)
 

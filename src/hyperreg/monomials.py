@@ -5,8 +5,9 @@ as a bit mask over a fixed, sorted alphabet, so divisibility, lcm, colon
 and sum are single word operations.  Ideals always hold a minimal
 generating set in a canonical order (degree first, then position-wise
 lexicographic on the support), which makes structural equality of ideals
-meaningful.  ``_minimal_masks`` builds that set, and the constructor
-checks every :class:`MonomialIdeal` against it.
+meaningful.  ``_canonical_key`` is that order as a sort key,
+``_minimal_masks`` builds that set, and the constructor checks every
+:class:`MonomialIdeal` against it.
 
 The unit ideal is never a value of :class:`MonomialIdeal`; operations that
 would produce it raise :class:`UnitIdealError` instead, because every
@@ -17,9 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"\w+", re.ASCII)
+_FLIP = str.maketrans("01", "10")
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 MAX_TRANSVERSALS = 1 << 10
 
 
@@ -80,7 +84,8 @@ class Alphabet:
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in _bits(mask))
+        # the bits of mask from bit 0 up, as bytes 0 and 1, select the names
+        return tuple(compress(self.names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -90,9 +95,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _support_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    # canonical generator order: degree, then lexicographic on bit positions
-    return (mask.bit_count(), tuple(_bits(mask)))
+def _canonical_key(mask: int) -> tuple[int, str]:
+    """Sort key of the canonical generator order: degree, then lexicographic
+    on the ascending bit positions.
+
+    The string is the mask's bits from bit 0 up with 0 and 1 swapped.  Of two
+    masks of one degree, the one holding the lowest bit where they differ
+    reads 0 there and comes first.  Neither string is a prefix of the
+    other: then the masks would agree up to the shorter one's top bit, and
+    the longer one would hold a further bit and have a higher degree.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 @dataclass(frozen=True)
@@ -265,10 +278,18 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    ordered = sorted(set(masks), key=_support_key)
+    """The canonical generator set of some masks: duplicates dropped, sorted
+    by :func:`_canonical_key`, and every mask that another divides dropped.
+
+    A proper divisor has a lower degree, so it is kept before any mask it
+    divides is reached.
+    """
     kept: list[int] = []
-    for m in ordered:
-        if not any(k & ~m == 0 for k in kept):
+    for m in sorted(set(masks), key=_canonical_key):
+        for k in kept:
+            if k & ~m == 0:
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -278,36 +299,57 @@ def parse_ideal(text: str) -> MonomialIdeal:
 
     Lines whose first non-blank character is ``#`` are comments; blank lines
     are skipped; a line starting with ``vars:`` declares extra alphabet
-    variables that need not appear in any generator.
+    variables that need not appear in any generator.  A variable name is
+    ASCII letters, digits and ``_``.  The first bad name, or the first name
+    repeated within one generator, raises :class:`IdealFormatError` with its
+    line and column.
+
+    Each line is split once; a line whose names were all seen before and
+    has no repeat is accepted without a per-name check, and the masks are
+    built from each name's bit once the alphabet is known.
     """
-    extra_vars: set[str] = set()
-    raw_generators: list[tuple[int, list[tuple[str, int]]]] = []
+    names: set[str] = set()
+    generators: list[list[str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if tokens[0][0] == "vars:":
-            for tok, col in tokens[1:]:
-                if not _TOKEN_RE.fullmatch(tok):
-                    raise IdealFormatError(f"invalid variable name {tok!r}", lineno, col)
-                extra_vars.add(tok)
+        if tokens[0] == "vars:":
+            if not names.issuperset(tokens[1:]):
+                _check_names(names, line, lineno, tokens, header=True)
             continue
-        seen: set[str] = set()
-        for tok, col in tokens:
+        if not names.issuperset(tokens) or len(set(tokens)) < len(tokens):
+            _check_names(names, line, lineno, tokens, header=False)
+        generators.append(tokens)
+    if not generators:
+        raise IdealFormatError("no generators in ideal text")
+    alphabet = Alphabet.of(names)
+    bit = {name: 1 << i for i, name in enumerate(alphabet.names)}.__getitem__
+    masks = [sum(map(bit, tokens)) for tokens in generators]
+    return MonomialIdeal(alphabet, tuple(_minimal_masks(masks)))
+
+
+def _check_names(names: set[str], line: str, lineno: int, tokens: list[str],
+                 header: bool) -> None:
+    """Check the names of one line in order and add each valid one to
+    ``names``; raise at the first invalid name, or at the first repeat in a
+    generator, with the column of that token in ``line``.  The tokens of a
+    ``vars:`` header start with ``vars:`` and may repeat."""
+    seen: set[str] = set()
+    for k in range(header, len(tokens)):
+        tok = tokens[k]
+        if tok not in names:
             if not _TOKEN_RE.fullmatch(tok):
-                raise IdealFormatError(f"invalid variable name {tok!r}", lineno, col)
+                raise IdealFormatError(f"invalid variable name {tok!r}", lineno, _column(line, k))
+            names.add(tok)
+        if not header:
             if tok in seen:
                 raise IdealFormatError(
                     f"variable {tok!r} repeated within one generator (not square-free)",
-                    lineno, col)
+                    lineno, _column(line, k))
             seen.add(tok)
-        raw_generators.append((lineno, tokens))
-    if not raw_generators:
-        raise IdealFormatError("no generators in ideal text")
-    names: set[str] = set(extra_vars)
-    for _, tokens in raw_generators:
-        names.update(tok for tok, _ in tokens)
-    alphabet = Alphabet.of(names)
-    gens = [Monomial.of(alphabet, [tok for tok, _ in tokens]) for _, tokens in raw_generators]
-    return minimalize(gens)
+
+
+def _column(line: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token of a line."""
+    return next(islice(re.finditer(r"\S+", line), k, None)).start() + 1

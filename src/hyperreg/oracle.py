@@ -77,7 +77,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .monomials import Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _support_key
+from .monomials import Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _canonical_key
 
 MAX_LATTICE_GENERATORS = 20
 MAX_TAYLOR_GENERATORS = 16
@@ -568,11 +568,12 @@ class BettiTable:
     entries: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
-        # The order of (i, _support_key(mask)) without a tuple per mask: of
-        # two masks of one degree, the one holding the lowest variable where
-        # they differ comes first, so the complements' bit strings, read from
-        # the lowest bit up, ascend (one that stops short holds every
-        # variable past its end, and sorts first as a prefix should).
+        # The order of (i, _canonical_key(mask)), written inline because a
+        # call per entry costs more than the sort: of two masks of one
+        # degree, the one holding the lowest variable where they differ
+        # comes first, so the complements' bit strings, read from the lowest
+        # bit up, ascend (one that stops short holds every variable past its
+        # end, and sorts first as a prefix should).
         top = (1 << len(self.alphabet)) - 1
         object.__setattr__(self, "entries", MappingProxyType(dict(sorted(
             self.entries.items(), key=lambda kv: (
@@ -627,7 +628,7 @@ class BettiTable:
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     """All lcms of nonempty generator subsets, deduplicated and sorted."""
     return tuple(Monomial(ideal.alphabet, m)
-                 for m in sorted(_lattice(ideal), key=_support_key))
+                 for m in sorted(_lattice(ideal), key=_canonical_key))
 
 
 @lru_cache(maxsize=1)

@@ -11,7 +11,7 @@ import math
 import random
 import string
 
-from .monomials import Alphabet, MonomialIdeal, _support_key
+from .monomials import Alphabet, MonomialIdeal, _canonical_key
 
 _MAX_ATTEMPTS = 200_000
 
@@ -45,5 +45,5 @@ def random_ideal(rng: random.Random, num_vars: int, num_gens: int) -> MonomialId
         if any(i != j and a & ~b == 0
                for i, a in enumerate(masks) for j, b in enumerate(masks)):
             continue
-        return MonomialIdeal(alphabet, tuple(sorted(masks, key=_support_key)))
+        return MonomialIdeal(alphabet, tuple(sorted(masks, key=_canonical_key)))
     raise RuntimeError("rejection sampling did not converge; parameters too tight")

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import re
 from itertools import permutations
 
 from hypothesis import strategies as st
@@ -8,11 +9,13 @@ from hyperreg.bounds import MATCHING_CANDIDATE_CAP
 from hyperreg.hypergraph import LabeledHypergraph, dimension
 from hyperreg.monomials import (
     Alphabet,
+    IdealFormatError,
+    Monomial,
     MonomialIdeal,
     UnitIdealError,
     _bits,
     _minimal_masks,
-    _support_key,
+    minimalize,
     parse_ideal,
 )
 from hyperreg.oracle import (
@@ -24,6 +27,52 @@ from hyperreg.oracle import (
     _subset_lcms,
 )
 from hyperreg.randgen import variable_names
+
+
+def _support_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Reference canonical generator order: degree, then lexicographic on
+    the tuple of bit positions."""
+    return (mask.bit_count(), tuple(_bits(mask)))
+
+
+_NAME_RE = re.compile(r"\w+", re.ASCII)
+
+
+def reference_parse(text: str) -> MonomialIdeal:
+    """Reference ideal parser: a regex scan for the tokens of each line with
+    their columns, a regex check per token, one ``Monomial`` per generator
+    and ``minimalize``."""
+    extra_vars: set[str] = set()
+    raw_generators: list[tuple[int, list[tuple[str, int]]]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if tokens[0][0] == "vars:":
+            for tok, col in tokens[1:]:
+                if not _NAME_RE.fullmatch(tok):
+                    raise IdealFormatError(f"invalid variable name {tok!r}", lineno, col)
+                extra_vars.add(tok)
+            continue
+        seen: set[str] = set()
+        for tok, col in tokens:
+            if not _NAME_RE.fullmatch(tok):
+                raise IdealFormatError(f"invalid variable name {tok!r}", lineno, col)
+            if tok in seen:
+                raise IdealFormatError(
+                    f"variable {tok!r} repeated within one generator (not square-free)",
+                    lineno, col)
+            seen.add(tok)
+        raw_generators.append((lineno, tokens))
+    if not raw_generators:
+        raise IdealFormatError("no generators in ideal text")
+    names: set[str] = set(extra_vars)
+    for _, tokens in raw_generators:
+        names.update(tok for tok, _ in tokens)
+    alphabet = Alphabet.of(names)
+    gens = [Monomial.of(alphabet, [tok for tok, _ in tokens]) for _, tokens in raw_generators]
+    return minimalize(gens)
 
 
 def word_ideal(words: str) -> MonomialIdeal:

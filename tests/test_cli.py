@@ -71,6 +71,21 @@ class TestAnalyze:
         assert cli.main(["analyze", str(path)]) == 1
         assert "square-free" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, triangle_file):
+        path = tmp_path / "bom.ideal"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(triangle_file).read_bytes())
+        assert cli.main(["analyze", str(path)]) == 0
+        with_bom = capsys.readouterr()
+        assert cli.main(["analyze", triangle_file]) == 0
+        assert with_bom == capsys.readouterr()
+
+    def test_undecodable_file_names_its_path(self, capsys, tmp_path):
+        path = tmp_path / "latin1.ideal"
+        path.write_bytes("a b\nc \xe9\n".encode("latin-1"))
+        assert cli.main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.ideal"
         path.write_text("")

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dual, reference_generator_check, word_ideal
+from helpers import (
+    _support_key,
+    brute_force_dual,
+    reference_generator_check,
+    reference_parse,
+    word_ideal,
+)
 from hyperreg import oracle
 from hyperreg.monomials import (
     MAX_TRANSVERSALS,
@@ -15,6 +21,7 @@ from hyperreg.monomials import (
     Monomial,
     MonomialIdeal,
     UnitIdealError,
+    _canonical_key,
     _minimal_masks,
     add_generator,
     alexander_dual,
@@ -51,6 +58,17 @@ class TestParse:
         with pytest.raises(IdealFormatError) as exc:
             parse_ideal("a b\nc d$e")
         assert exc.value.line == 2
+
+    def test_bad_name_in_vars_header(self):
+        with pytest.raises(IdealFormatError) as exc:
+            parse_ideal("a b\nvars: c\td-e")
+        assert str(exc.value) == "invalid variable name 'd-e' (line 2, column 9)"
+
+    def test_repeat_after_tabs(self):
+        with pytest.raises(IdealFormatError) as exc:
+            parse_ideal("b\t\ta\t c a")
+        assert (exc.value.line, exc.value.column) == (1, 9)
+        assert "'a' repeated" in str(exc.value)
 
     def test_empty_input_rejected(self):
         with pytest.raises(IdealFormatError):
@@ -283,3 +301,65 @@ def test_dual_is_an_involution(monomials):
     dual = alexander_dual(ideal)
     assert dual == brute_force_dual(ideal)
     assert alexander_dual(dual) == ideal
+
+
+_PARSE_NAMES = ["a", "b", "c", "x1", "y_2", "Z", "9", "_"]
+_PARSE_JUNK = ["a#b", "b$", "$", "#c", "\u00e9", "\u00e41", "vars:", "a*b"]
+_SPACES = [" ", "  ", "\t", "\xa0", "\x0c", "\u2003"]
+
+
+@st.composite
+def parse_texts(draw):
+    """Ideal texts with comments, blank lines, ``vars:`` headers, tabs, NBSP,
+    form feeds and other whitespace, CR, LF and CRLF line ends, ``#`` or
+    ``$`` inside tokens, repeated names and non-ASCII letters."""
+    name = st.sampled_from(_PARSE_NAMES)
+    token = st.sampled_from(_PARSE_NAMES * 4 + _PARSE_JUNK)
+    space = st.sampled_from(_SPACES)
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["generator"] * 4 + ["tokens", "vars", "comment", "blank"]))
+        if kind == "generator":
+            words = draw(st.lists(name, min_size=1, max_size=4))
+        elif kind == "tokens":
+            words = draw(st.lists(token, min_size=1, max_size=5))
+        elif kind == "vars":
+            words = ["vars:"] + draw(st.lists(token, max_size=3))
+        elif kind == "comment":
+            words = ["#" + draw(st.text(alphabet="ab #$", max_size=5))]
+        else:
+            words = []
+        line = draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+        for w in words:
+            line += w + draw(space)
+        lines.append(line)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@given(parse_texts())
+@settings(max_examples=600, deadline=None)
+def test_parse_matches_the_reference_parser(text):
+    assert _parse_outcome(parse_ideal, text) == _parse_outcome(reference_parse, text)
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks over 1 to 70 variables, single bits among them, with duplicates."""
+    n = draw(st.integers(1, 70))
+    mask = st.one_of(st.integers(1, (1 << n) - 1), st.integers(0, n - 1).map(lambda k: 1 << k))
+    masks = draw(st.lists(mask, max_size=30))
+    return masks + draw(st.lists(st.sampled_from(masks), max_size=5)) if masks else masks
+
+
+@given(mask_lists())
+@settings(max_examples=300, deadline=None)
+def test_canonical_key_sorts_like_the_support_key(masks):
+    assert sorted(masks, key=_canonical_key) == sorted(masks, key=_support_key)

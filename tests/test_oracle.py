@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _support_key,
     assert_support_key_order,
     dense_boundary,
     dense_rank,
@@ -31,7 +32,7 @@ from hyperreg import oracle
 from hyperreg.bounds import taylor_regularity_bound
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import (
-    Alphabet, Monomial, MonomialIdeal, _bits, _support_key, alexander_dual, parse_ideal)
+    Alphabet, Monomial, MonomialIdeal, _bits, alexander_dual, parse_ideal)
 from hyperreg.oracle import (
     GF2,
     GF3,
