@@ -142,8 +142,10 @@ CORPUS: tuple[CorpusEntry, ...] = (
 _KOSZUL_SPOT_MAX_VARS = 12
 
 
-def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str, object]:
-    """Evaluate every check the corpus may reference, deterministically."""
+def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]
+                     ) -> tuple[dict[str, object], dict[str, bool]]:
+    """Evaluate every check, deterministically: the values an entry may
+    reference, and the generic invariants checked on every entry."""
     report = bounds_mod.best_bounds(ideal)
     hypergraph = report.hypergraph
     taylor_minimal = oracle.is_taylor_minimal(ideal)
@@ -181,7 +183,8 @@ def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str,
         "match_witness": (None if method("matching_lower").witness is None
                           else method("matching_lower").witness["closed_vertices"]),
         "alexander_dual": str(alexander_dual(ideal)),
-        # generic invariants, checked on every entry
+    }
+    generic = {
         "dual_oracle_equal": all(tables[p] == strand_tables[p] for p in primes),
         "reg_char_independent": len(set(regs.values())) == 1,
         "round_trip": hg.ideal_of(hypergraph, ideal.alphabet) == ideal,
@@ -198,7 +201,7 @@ def _computed_values(ideal: MonomialIdeal, primes: tuple[int, ...]) -> dict[str,
         "taylor_squares_zero": _taylor_squares_zero(ideal),
         "koszul_spot": _koszul_spot(ideal, tables[primes[0]], fields[0]),
     }
-    return values
+    return values, generic
 
 
 def _taylor_squares_zero(ideal: MonomialIdeal) -> bool:
@@ -224,16 +227,9 @@ def _koszul_spot(ideal: MonomialIdeal, table: oracle.BettiTable,
     return True
 
 
-_GENERIC_CHECKS = (
-    "dual_oracle_equal", "reg_char_independent", "round_trip",
-    "taylor_minimal_iff_saturated", "upper_bounds_hold", "lower_bounds_hold",
-    "exact_methods_match", "taylor_squares_zero", "koszul_spot",
-)
-
-
 def evaluate_entry(entry: CorpusEntry, primes: tuple[int, ...] = (2, 3)) -> list[CheckResult]:
     ideal = parse_ideal(entry.ideal_text)
-    values = _computed_values(ideal, primes)
+    values, generic = _computed_values(ideal, primes)
     results = []
     for check, expectation in entry.expected:
         actual = values[check]
@@ -246,10 +242,9 @@ def evaluate_entry(entry: CorpusEntry, primes: tuple[int, ...] = (2, 3)) -> list
     for check, expectation in entry.claims:
         results.append(CheckResult(entry.name, check, expectation.value,
                                    values[check], "flagged", expectation.provenance))
-    for check in _GENERIC_CHECKS:
-        results.append(CheckResult(entry.name, check, True, values[check],
-                                   "ok" if values[check] is True else "fail",
-                                   "derived"))
+    for check, holds in generic.items():
+        results.append(CheckResult(entry.name, check, True, holds,
+                                   "ok" if holds is True else "fail", "derived"))
     return results
 
 

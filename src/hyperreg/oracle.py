@@ -559,8 +559,7 @@ class BettiTable:
 
     ``entries`` maps (homological index i, square-free multidegree mask) to
     a positive rank; regularity and projective dimension are read off it.
-    The table and its entries are read-only, so a table cached by
-    :func:`betti_table` stays intact.
+    The table and its entries are read-only: a table is a value.
     """
 
     field: FieldSpec
@@ -695,7 +694,6 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     return SimplicialComplex(ideal.alphabet.names_of(b.mask), facets)
 
 
-@lru_cache(maxsize=8192)
 def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable:
     """Full multigraded Betti table of R/I via divisibility-complex homology.
 
@@ -703,7 +701,7 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     numbers of a monomial ideal live.  A degree whose Taylor strand holds
     subsets of its level and one more only is read off the lattice's signed
     count; the others take the homology of their divisibility complex.
-    Tables are cached per ideal and field.
+    Each call computes its table; only the lcm lattice is kept (one ideal).
     """
     gens = ideal.generator_masks
     p = field_spec.characteristic

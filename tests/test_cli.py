@@ -15,7 +15,7 @@ from hyperreg import cli
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet
-from hyperreg.oracle import TaylorComplex, _lattice, betti_table
+from hyperreg.oracle import TaylorComplex, _lattice
 from hyperreg.randgen import max_antichain, variable_names
 
 
@@ -237,10 +237,22 @@ class TestPinnedBytes:
         # text mode: every method applicable somewhere, three with slack in the aggregate
         (["random", "--vars", "6", "--gens", "3", "--count", "30", "--seed", "3"],
          "be63d5abfe9cf6efc6a7dca4c17c48c97e096234fe1e7b1389827b4b50033935"),
-    ], ids=["verify-paper", "random-gf3", "random-no-oracle", "random-text"])
+        # text mode: a sweep so small that most of its 200 ideals were drawn before
+        (["random", "--vars", "4", "--gens", "3", "--count", "200", "--seed", "1"],
+         "cdab90186cbe7bf256fb749bcc967d1690a73edc91170fe2f17a02a493954435"),
+    ], ids=["verify-paper", "random-gf3", "random-no-oracle", "random-text", "random-repeats"])
     def test_command(self, capsys, argv, digest):
         assert cli.main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_verify_paper_twice_in_one_process(self, capsys):
+        # the second run recomputes every corpus table the first one computed
+        digests = []
+        for _ in range(2):
+            assert cli.main(["verify-paper", "--json"]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == [
+            "24ffa08af042ce9ebc42eef9e695dc3b93540b5cf0b2b3f398235f1f34c197c0"] * 2
 
     def test_analyze_one_dimensional(self, capsys, tmp_path):
         path = tmp_path / "onedim.ideal"
@@ -310,8 +322,6 @@ class TestOneLattice:
 
     @pytest.fixture
     def builds(self):
-        # a table cached by an earlier test would skip its lattice read
-        betti_table.cache_clear()
         _lattice.cache_clear()
         return lambda: _lattice.cache_info().misses
 

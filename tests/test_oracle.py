@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
@@ -413,7 +415,7 @@ class TestBettiTable:
         with pytest.raises(CapExceededError):
             betti_table(ideal, GF2)
 
-    def test_cached_entries_are_read_only(self):
+    def test_entries_are_read_only(self):
         ideal = word_ideal("ab bc")
         entries = dict(betti_table(ideal, GF2).entries)
         with pytest.raises(AttributeError):
@@ -424,6 +426,26 @@ class TestBettiTable:
             betti_table(ideal, GF2).field = GF3
         assert betti_table(ideal, GF2).entries == entries
         assert betti_table(ideal, GF2).field == GF2
+
+    def test_tables_are_not_retained(self):
+        # past one-time state (the Morse route's subset masks, the last
+        # lattice), computing tables of new ideals keeps nothing of them
+        rng = random.Random(1)
+        for _ in range(50):
+            betti_table(random_ideal(rng, 10, 7), GF2)
+        rng = random.Random(2)
+        drawn = [random_ideal(rng, 10, 7) for _ in range(200)]
+        assert len(set(drawn)) == 200
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for ideal in drawn:
+                betti_table(ideal, GF2)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
     @given(ideals(max_vars=8, max_gens=7), st.sampled_from([2, 3, 5]))
     @settings(max_examples=60, deadline=None)
@@ -1154,7 +1176,6 @@ def homology_calls(monkeypatch):
     original = oracle._union_homology
     monkeypatch.setattr(oracle, "_union_homology",
                         lambda facets, p: calls.append(facets) or original(facets, p))
-    betti_table.cache_clear()  # a cached table would skip its degrees
     return calls
 
 
@@ -1277,7 +1298,6 @@ def test_betti_table_past_16_facets_matches_hochster_formula(collapses):
         pool = [sum(1 << v for v in c) for c in combinations(range(8), size)]
         gens = rng.sample(pool, rng.randint(17, 20))
         ideal = MonomialIdeal(alphabet, tuple(sorted(gens, key=_support_key)))
-        betti_table.cache_clear()
         collapses.clear()
         for p in (2, 3, 5):
             assert dict(betti_table(ideal, FieldSpec(p)).entries) == hochster_betti(ideal, p)
