@@ -1,9 +1,9 @@
 """Regularity bounds and exact formulas from labeled-hypergraph data.
 
-Every method here is purely combinatorial: none of them consults the
-homology oracle, so tightness comparisons against the oracle stay
-meaningful.  Each method reports applicability, a value when applicable,
-and an optional witness (fill set, matching vertices, ...).
+Every method here is combinatorial: none reads a Betti table, so tightness
+comparisons against the oracle stay meaningful (the Taylor bound shares the
+oracle's lcm lattice).  Each method reports applicability, a value when
+applicable, and an optional witness (fill set, matching vertices, ...).
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from .hypergraph import (
     LabeledHypergraph,
     _each_open_in_one,
+    _simple_masks,
     build_hypergraph,
     dimension,
     has_isolated_open_vertices,
     has_isolated_simple_edges,
     is_saturated,
-    simple_edges,
 )
 from .monomials import MonomialIdeal, _bits
 from .oracle import CapExceededError, _lattice
@@ -75,7 +75,9 @@ def min_fill_number(hypergraph: LabeledHypergraph) -> tuple[int, frozenset[int]]
     solved exactly by branch and bound seeded with a greedy cover.  The
     search runs on the hypergraph's vertex masks: ``alive`` holds the
     vertices still in the graph, and an edge counts while both ends are
-    alive.  Ties go to the lowest bit, the smallest vertex.
+    alive.  Ties go to the lowest bit, the smallest vertex.  Pruning drops
+    only subtrees that cannot beat the best cover strictly and branching
+    never reads that cover, so a stronger bound leaves the result unchanged.
     """
     opens = hypergraph.open_mask
     adjacency = [a & opens for a in hypergraph.adjacency]
@@ -107,6 +109,22 @@ def _matching_lower(adjacency: list[int], alive: int) -> int:
     return size
 
 
+def _clique_lower(adjacency: list[int], alive: int) -> int:
+    """Sum of |C| - 1 over cliques C, grown in bit order from the lowest vertex
+    left, that partition the alive vertices: a cover misses one vertex of C at most."""
+    size = 0
+    while alive:
+        clique = low = alive & -alive
+        grow = adjacency[low.bit_length() - 1] & alive
+        while grow:
+            u = grow & -grow
+            clique |= u
+            grow &= adjacency[u.bit_length() - 1]
+        alive &= ~clique
+        size += clique.bit_count() - 1
+    return size
+
+
 def _min_vertex_cover(adjacency: list[int], alive: int) -> int:
     best = _greedy_cover(adjacency, alive)
 
@@ -122,7 +140,8 @@ def _min_vertex_cover(adjacency: list[int], alive: int) -> int:
             if chosen.bit_count() < best.bit_count():
                 best = chosen
             return
-        if chosen.bit_count() + _matching_lower(adjacency, alive) >= best.bit_count():
+        need = best.bit_count() - chosen.bit_count()
+        if _clique_lower(adjacency, alive) >= need or _matching_lower(adjacency, alive) >= need:
             return
         search(alive & ~(1 << v), chosen | (1 << v))
         nbrs = adjacency[v] & alive
@@ -145,7 +164,7 @@ def simple_edge_regularity(hypergraph: LabeledHypergraph) -> int:
     """
     if not has_isolated_simple_edges(hypergraph):
         raise ValueError("hypergraph does not have isolated simple edges")
-    correction = sum(len(e) - 1 for e in simple_edges(hypergraph))
+    correction = sum(e.bit_count() - 1 for e in _simple_masks(hypergraph))
     return hypergraph.label_count - hypergraph.num_vertices + correction
 
 
@@ -164,8 +183,7 @@ def matching_lower_bound(
     if not hypergraph.open_mask:
         return value, frozenset()
     closed = ((1 << hypergraph.num_vertices) - 1) & ~hypergraph.open_mask
-    candidates = [k for k in _bits(closed)
-                  if hypergraph.multiplicity(frozenset((hypergraph.vertices[k],))) == 1]
+    candidates = [k for k in _bits(closed) if hypergraph.edge_masks[1 << k] == 1]
     if len(candidates) > MATCHING_CANDIDATE_CAP:
         raise CapExceededError(
             f"matching search capped at {MATCHING_CANDIDATE_CAP} closed vertices")
@@ -237,20 +255,9 @@ class BoundReport:
                 "vars": list(ideal.alphabet.names),
                 "gens": [list(g.support) for g in ideal.generators],
             },
-            "hypergraph": {
-                "X": self.label_count,
-                "V": self.num_vertices,
-                "dim": self.dim,
-            },
-            "methods": [
-                {
-                    "id": m.method,
-                    "applicable": m.applicable,
-                    "value": m.value,
-                    "witness": m.witness,
-                }
-                for m in self.methods
-            ],
+            "hypergraph": {"X": self.label_count, "V": self.num_vertices, "dim": self.dim},
+            "methods": [{"id": m.method, "applicable": m.applicable, "value": m.value,
+                         "witness": m.witness} for m in self.methods],
             "best_upper": {"id": self.best_upper[0], "value": self.best_upper[1]},
             "best_lower": (
                 None if self.best_lower is None
@@ -259,7 +266,7 @@ class BoundReport:
 
 
 def best_bounds(ideal: MonomialIdeal) -> BoundReport:
-    """Evaluate every applicable method; never consults the homology oracle.
+    """Evaluate every applicable method; never reads a Betti table.
 
     Ties among equal best values prefer exact formulas over mere bounds,
     then earlier methods in the fixed registry order.
@@ -268,7 +275,7 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     base = hypergraph.label_count - hypergraph.num_vertices
     dim = dimension(hypergraph)
     isolated_open = has_isolated_open_vertices(hypergraph)
-    simples = simple_edges(hypergraph)
+    simples = _simple_masks(hypergraph)
     results = {m: MethodResult(m, False) for m in ALL_METHODS}
 
     def applies(method: str, value: int, witness: dict | None = None) -> None:
@@ -285,8 +292,9 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     t, fill_set = min_fill_number(hypergraph)
     applies("fill_bound", base + t, {"t": t, "fill_set": sorted(fill_set)})
     if _each_open_in_one(hypergraph, simples):
-        applies("simple_edge_formula", base + sum(len(e) - 1 for e in simples),
-                {"simple_edges": sorted(sorted(e) for e in simples)})
+        applies("simple_edge_formula", base + sum(e.bit_count() - 1 for e in simples),
+                {"simple_edges": sorted([hypergraph.vertices[k] for k in _bits(e)]
+                                        for e in simples)})
     match = None
     if dim == 1:
         try:
@@ -301,11 +309,9 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     best_upper = min(
         ((m, results[m].value) for m in UPPER_METHODS if results[m].applicable),
         key=lambda mv: (mv[1], UPPER_METHODS.index(mv[0])))
-    lower_candidates = [
-        (m, results[m].value) for m in LOWER_METHODS if results[m].applicable]
     best_lower = max(
-        lower_candidates,
-        key=lambda mv: (mv[1], -LOWER_METHODS.index(mv[0]))) if lower_candidates else None
+        ((m, results[m].value) for m in LOWER_METHODS if results[m].applicable),
+        key=lambda mv: (mv[1], -LOWER_METHODS.index(mv[0])), default=None)
 
     return BoundReport(
         hypergraph=hypergraph,

@@ -41,21 +41,17 @@ def _build_parser() -> _Parser:
 
     p_analyze = sub.add_parser("analyze", help="analyze one ideal file")
     p_analyze.add_argument("path")
-    p_analyze.add_argument("--field", type=int, default=2, metavar="P")
-    p_analyze.add_argument("--no-oracle", action="store_true")
-    p_analyze.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify-paper", help="verify the built-in corpus")
     p_verify.add_argument("--json", action="store_true")
 
     p_random = sub.add_parser("random", help="sweep seeded random ideals")
-    p_random.add_argument("--vars", type=int, required=True)
-    p_random.add_argument("--gens", type=int, required=True)
-    p_random.add_argument("--count", type=int, required=True)
-    p_random.add_argument("--seed", type=int, required=True)
-    p_random.add_argument("--field", type=int, default=2, metavar="P")
-    p_random.add_argument("--no-oracle", action="store_true")
-    p_random.add_argument("--json", action="store_true")
+    for name in ("--vars", "--gens", "--count", "--seed"):
+        p_random.add_argument(name, type=int, required=True)
+    for p in (p_analyze, p_random):
+        p.add_argument("--field", type=int, default=2, metavar="P")
+        p.add_argument("--no-oracle", action="store_true")
+        p.add_argument("--json", action="store_true")
 
     p_render = sub.add_parser("render", help="render a hypergraph to DOT or TikZ")
     p_render.add_argument("path")
@@ -98,10 +94,8 @@ def _report_text(ideal: MonomialIdeal, report: BoundReport,
         f"dim={report.dim} saturated={'yes' if is_saturated(hypergraph) else 'no'}",
         "edges:",
     ]
-    for e in hypergraph.edges:
-        labels = ",".join(hypergraph.edge_labels[e])
-        members = ",".join(str(v) for v in sorted(e))
-        lines.append(f"  {{{members}}} labels={labels}")
+    lines += [f"  {{{','.join(map(str, sorted(e)))}}} labels={','.join(names)}"
+              for e, names in hypergraph.edge_labels.items()]
     lines.append("bounds:")
     for m in report.methods:
         if m.applicable:
@@ -194,9 +188,12 @@ def cmd_random(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAP
         report = best_bounds(ideal)
-        doc = report.to_json_dict(ideal)
-        record = {"instance": k, "gens": doc["ideal"]["gens"], **doc["hypergraph"],
-                  "best_upper": doc["best_upper"], "best_lower": doc["best_lower"]}
+        gens = [ideal.alphabet.names_of(m) for m in ideal.generator_masks]
+        (upper, value), lower = report.best_upper, report.best_lower
+        record = {"instance": k, "gens": gens, "X": report.label_count,
+                  "V": report.num_vertices, "dim": report.dim,
+                  "best_upper": {"id": upper, "value": value},
+                  "best_lower": lower and {"id": lower[0], "value": lower[1]}}
         if use_oracle:
             table = betti_table(ideal, field)
             reg = record["reg"] = table.regularity
@@ -211,9 +208,8 @@ def cmd_random(args) -> int:
         else:
             # single letters are glued; longer names need a separator to read back
             sep = "*" if any(len(name) > 1 for name in ideal.alphabet.names) else ""
-            gens = ",".join(sep.join(g.support) for g in ideal.generators)
-            line = (f"instance {k}: gens=({gens}) X={record['X']} V={record['V']} "
-                    f"best_upper={record['best_upper']['id']}:{record['best_upper']['value']}")
+            line = (f"instance {k}: gens=({','.join(map(sep.join, gens))}) "
+                    f"X={record['X']} V={record['V']} best_upper={upper}:{value}")
             if use_oracle:
                 line += f" reg={record['reg']} pd={record['pd']}"
             print(line)

@@ -4,13 +4,22 @@ Vertices are generator indices 1..mu; every variable labels the edge made
 of the generators it divides.  Distinct label images form the edge set,
 and the number of labels (counted with multiplicity) together with the
 vertex count drives all the regularity formulas in :mod:`hyperreg.bounds`.
+
+A hypergraph is stored as its column masks: each label's image as a mask,
+bit k standing for the k-th smallest vertex.  The distinct masks are the
+edges, each with its number of labels; every predicate and bound reads them
+by bit operations.  The frozenset views ``labels``, ``edges`` and
+``edge_labels`` are built on first access and kept, for output and the corpus.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, minimalize
+from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, _minimal_masks, minimalize
 
 
 class NotSeparatedError(ValueError):
@@ -27,42 +36,47 @@ class LabeledHypergraph:
 
     def __init__(self, vertices: Iterable[int], labeling: Mapping[str, Iterable[int]]):
         self.vertices: tuple[int, ...] = tuple(sorted(set(vertices)))
-        vset = set(self.vertices)
-        labels: dict[str, frozenset[int]] = {}
+        bit = {v: 1 << k for k, v in enumerate(self.vertices)}
+        self.columns: dict[str, int] = {}  # name -> mask of its image, in name order
         for name in sorted(labeling):
-            image = frozenset(labeling[name])
-            if not image:
+            mask = 0
+            for v in labeling[name]:
+                if v not in bit:
+                    raise ValueError(f"label {name!r} maps outside the vertex set")
+                mask |= bit[v]
+            if not mask:
                 raise ValueError(f"label {name!r} has empty image")
-            if not image <= vset:
-                raise ValueError(f"label {name!r} maps outside the vertex set")
-            labels[name] = image
-        if not labels:
+            self.columns[name] = mask
+        if not self.columns:
             raise ValueError("hypergraph needs at least one label")
-        self.labels: dict[str, frozenset[int]] = labels
-        edge_labels: dict[frozenset[int], list[str]] = {}
-        for name, image in labels.items():
-            edge_labels.setdefault(image, []).append(name)
-        self.edges: tuple[frozenset[int], ...] = tuple(
-            sorted(edge_labels, key=lambda e: (len(e), sorted(e))))
-        self.edge_labels: dict[frozenset[int], tuple[str, ...]] = {
-            e: tuple(edge_labels[e]) for e in self.edges}
-        index = {v: k for k, v in enumerate(self.vertices)}
+        self.edge_masks: Counter[int] = Counter(self.columns.values())  # mask -> multiplicity
         adjacency = [0] * len(self.vertices)
-        closed = 0
-        for e in self.edges:
-            members = sum(1 << index[v] for v in e)
-            if len(e) == 1:
-                closed |= members
-            for v in e:
-                adjacency[index[v]] |= members
+        for e in self.edge_masks:
+            for k in _bits(e):
+                adjacency[k] |= e
+        closed = sum(e for e in self.edge_masks if not e & (e - 1))  # the singleton edges
         self.open_mask: int = ((1 << len(self.vertices)) - 1) & ~closed
-        self.adjacency: tuple[int, ...] = tuple(
-            a & ~(1 << k) for k, a in enumerate(adjacency))
+        self.adjacency: tuple[int, ...] = tuple(a & ~(1 << k) for k, a in enumerate(adjacency))
+
+    @cached_property
+    def labels(self) -> dict[str, frozenset[int]]:
+        return {name: self.vertex_set(mask) for name, mask in self.columns.items()}
+
+    @cached_property
+    def edge_labels(self) -> dict[frozenset[int], tuple[str, ...]]:
+        """Each edge's labels, edges ordered by size, then by sorted members."""
+        order = sorted(self.edge_masks, key=lambda e: (e.bit_count(), list(_bits(e))))
+        return {self.vertex_set(e): tuple(n for n, m in self.columns.items() if m == e)
+                for e in order}
+
+    @cached_property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        return tuple(self.edge_labels)
 
     @property
     def label_count(self) -> int:
         """Number of labels |X|, i.e. edges counted with multiplicity."""
-        return len(self.labels)
+        return len(self.columns)
 
     @property
     def num_vertices(self) -> int:
@@ -81,7 +95,7 @@ class LabeledHypergraph:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LabeledHypergraph)
                 and self.vertices == other.vertices
-                and self.labels == other.labels)
+                and self.columns == other.columns)
 
     def __hash__(self) -> int:
         return hash((self.vertices, tuple(sorted(self.labels.items()))))
@@ -119,13 +133,16 @@ def ideal_of(hypergraph: LabeledHypergraph, alphabet: Alphabet) -> MonomialIdeal
 
 
 def separation_witness(hypergraph: LabeledHypergraph) -> tuple[int, int] | None:
-    """First ordered pair (v, w) such that no edge contains v but not w."""
-    for v in hypergraph.vertices:
-        for w in hypergraph.vertices:
-            if v == w:
-                continue
-            if not any(v in e and w not in e for e in hypergraph.edges):
-                return (v, w)
+    """First ordered pair (v, w) such that no edge contains v but not w,
+    that is, w lies in the meet of the edges through v."""
+    vertices = hypergraph.vertices
+    for k, v in enumerate(vertices):
+        meet = ((1 << len(vertices)) - 1) ^ (1 << k)
+        for e in hypergraph.edge_masks:
+            if e >> k & 1:
+                meet &= e
+        if meet:
+            return v, vertices[(meet & -meet).bit_length() - 1]
     return None
 
 
@@ -157,27 +174,28 @@ def has_isolated_open_vertices(hypergraph: LabeledHypergraph) -> bool:
 
 def simple_edges(hypergraph: LabeledHypergraph) -> frozenset[frozenset[int]]:
     """Edges of size >= 2 with no proper nonempty subedge."""
-    edges = hypergraph.edges
-    out = []
-    for e in edges:
-        if len(e) < 2:
-            continue
-        if any(f < e for f in edges if f != e):
-            continue
-        out.append(e)
-    return frozenset(out)
+    return frozenset(hypergraph.vertex_set(e) for e in _simple_masks(hypergraph))
+
+
+def _simple_masks(hypergraph: LabeledHypergraph) -> list[int]:
+    """The minimal edges, as masks, leaving out the singletons."""
+    return [e for e in _minimal_masks(hypergraph.edge_masks) if e & (e - 1)]
 
 
 def has_isolated_simple_edges(hypergraph: LabeledHypergraph) -> bool:
-    """True iff every open vertex lies in exactly one simple edge.
-
-    Vacuously true when there is no open vertex.
-    """
-    return _each_open_in_one(hypergraph, simple_edges(hypergraph))
+    """True iff every open vertex lies in exactly one simple edge (vacuously
+    true when there is no open vertex)."""
+    return _each_open_in_one(hypergraph, _simple_masks(hypergraph))
 
 
-def _each_open_in_one(hypergraph: LabeledHypergraph, edges: frozenset[frozenset[int]]) -> bool:
-    return all(sum(1 for e in edges if v in e) == 1 for v in open_vertices(hypergraph))
+def _each_open_in_one(hypergraph: LabeledHypergraph, edges: list[int]) -> bool:
+    """True iff every open vertex lies in exactly one of the edge masks."""
+    once = twice = 0
+    for e in edges:
+        twice |= once & e
+        once |= e
+    opens = hypergraph.open_mask
+    return not opens & ~once and not opens & twice
 
 
 def is_saturated(hypergraph: LabeledHypergraph) -> bool:
@@ -187,7 +205,7 @@ def is_saturated(hypergraph: LabeledHypergraph) -> bool:
 
 def dimension(hypergraph: LabeledHypergraph) -> int:
     """Max edge size minus one."""
-    return max(len(e) for e in hypergraph.edges) - 1
+    return max(e.bit_count() for e in hypergraph.edge_masks) - 1
 
 
 def to_json_dict(hypergraph: LabeledHypergraph) -> dict:
@@ -195,14 +213,8 @@ def to_json_dict(hypergraph: LabeledHypergraph) -> dict:
     return {
         "vertices": list(hypergraph.vertices),
         "labels": {name: sorted(image) for name, image in hypergraph.labels.items()},
-        "edges": [
-            {
-                "members": sorted(e),
-                "multiplicity": hypergraph.multiplicity(e),
-                "labels": list(hypergraph.edge_labels[e]),
-            }
-            for e in hypergraph.edges
-        ],
+        "edges": [{"members": sorted(e), "multiplicity": len(names), "labels": list(names)}
+                  for e, names in hypergraph.edge_labels.items()],
     }
 
 
@@ -216,11 +228,8 @@ def render(hypergraph: LabeledHypergraph, fmt: str) -> str:
 
 
 def _vertex_caption(hypergraph: LabeledHypergraph, v: int) -> str:
-    singleton = frozenset((v,))
-    caption = f"v{v}"
-    if singleton in hypergraph.edge_labels:
-        caption += "\\n" + ",".join(hypergraph.edge_labels[singleton])
-    return caption
+    names = hypergraph.edge_labels.get(frozenset((v,)))
+    return f"v{v}" + ("\\n" + ",".join(names) if names else "")
 
 
 def render_dot(hypergraph: LabeledHypergraph) -> str:
@@ -246,8 +255,6 @@ def render_dot(hypergraph: LabeledHypergraph) -> str:
 
 def render_tikz(hypergraph: LabeledHypergraph) -> str:
     """Standalone TikZ picture with vertices on a fixed circle."""
-    import math
-
     closed = closed_vertices(hypergraph)
     n = hypergraph.num_vertices
     pos = {}

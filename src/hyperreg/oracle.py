@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -84,17 +85,6 @@ MAX_TAYLOR_GENERATORS = 16
 MAX_COMPLEX_FACES = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Prime field GF(p) used for all homology ranks."""
@@ -103,7 +93,7 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         p = self.characteristic
-        if not (2 <= p < (1 << 16)) or not _is_prime(p):
+        if not 2 <= p < (1 << 16) or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"characteristic must be a prime below 2^16, got {p}")
 
 
@@ -761,12 +751,13 @@ class TaylorComplex:
 
     def verify_squares_zero(self) -> None:
         """Symbolically compose consecutive differentials; must cancel."""
-        for s in range(1 << self.num_generators):
+        terms = [self.differential(s) for s in range(1 << self.num_generators)]
+        for s, outer in enumerate(terms):
             if s.bit_count() < 2:
                 continue
             acc: dict[tuple[int, int], int] = {}
-            for mid, sign1, q1 in self.differential(s):
-                for target, sign2, q2 in self.differential(mid):
+            for mid, sign1, q1 in outer:
+                for target, sign2, q2 in terms[mid]:
                     key = (target, q1 | q2)
                     acc[key] = acc.get(key, 0) + sign1 * sign2
             if any(acc.values()):

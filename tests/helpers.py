@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
 import re
+from contextlib import contextmanager
 from itertools import permutations
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
+from hyperreg import bounds
 from hyperreg.bounds import MATCHING_CANDIDATE_CAP
 from hyperreg.hypergraph import LabeledHypergraph, dimension
 from hyperreg.monomials import (
@@ -121,15 +124,21 @@ def ideals(draw, max_vars=12, max_gens=12):
 
 
 @st.composite
-def labeled_hypergraphs(draw, max_vertices=14):
-    """Hypergraphs built by hand: unsorted, non-contiguous vertex ids, edges
-    of at most two or three vertices, and possibly vertices in no edge."""
+def labelings(draw, max_vertices=14):
+    """Vertices and labelings built by hand: unsorted, non-contiguous vertex
+    ids, edges of at most two or three vertices, and possibly vertices in no
+    edge."""
     vertices = draw(st.lists(st.integers(0, 99), min_size=1, max_size=max_vertices, unique=True))
     size = draw(st.integers(2, 3))
     images = draw(st.lists(
         st.lists(st.sampled_from(vertices), min_size=1, max_size=size, unique=True),
         min_size=1, max_size=3 * len(vertices)))
-    return LabeledHypergraph(vertices, {f"x{i:02d}": image for i, image in enumerate(images)})
+    return vertices, {f"x{i:02d}": image for i, image in enumerate(images)}
+
+
+def labeled_hypergraphs(max_vertices=14):
+    """The hypergraphs of :func:`labelings`."""
+    return labelings(max_vertices).map(lambda drawn: LabeledHypergraph(*drawn))
 
 
 def subset_scan_strands(ideal: MonomialIdeal) -> dict[int, tuple[int, int, int]]:
@@ -334,8 +343,56 @@ def unit_entry_scan(ideal: MonomialIdeal) -> bool:
     return True
 
 
-# Reference hypergraph predicates and searches on frozensets and dicts of
-# sets; the package computes the same sets on vertex bitmasks.
+# Reference hypergraph views, predicates and searches on frozensets and dicts
+# of sets; the package computes the same sets on vertex bitmasks.
+
+def ideal_labeling(ideal: MonomialIdeal) -> dict[str, list[int]]:
+    """Each variable used, mapped to the generators (numbered from 1) it divides."""
+    labeling: dict[str, list[int]] = {}
+    for j, generator in enumerate(ideal.generators, start=1):
+        for name in generator.support:
+            labeling.setdefault(name, []).append(j)
+    return labeling
+
+
+def ref_views(labeling) -> tuple[dict, tuple, dict]:
+    """``labels``, ``edges`` and ``edge_labels`` built eagerly from a labeling:
+    labels in name order, edges by size and then by sorted members, and each
+    edge's labels in name order."""
+    labels = {name: frozenset(labeling[name]) for name in sorted(labeling)}
+    names: dict[frozenset[int], list[str]] = {}
+    for name, image in labels.items():
+        names.setdefault(image, []).append(name)
+    edges = tuple(sorted(names, key=lambda e: (len(e), sorted(e))))
+    return labels, edges, {e: tuple(names[e]) for e in edges}
+
+
+def ref_hash(vertices, labeling) -> int:
+    """The hash of a hypergraph: its sorted vertices and its sorted labels."""
+    labels, _, _ = ref_views(labeling)
+    return hash((tuple(sorted(set(vertices))), tuple(sorted(labels.items()))))
+
+
+def ref_separation_witness(hypergraph: LabeledHypergraph) -> tuple[int, int] | None:
+    for v in hypergraph.vertices:
+        for w in hypergraph.vertices:
+            if v != w and not any(v in e and w not in e for e in hypergraph.edges):
+                return v, w
+    return None
+
+
+def ref_simple_edges(hypergraph: LabeledHypergraph) -> frozenset[frozenset[int]]:
+    edges = hypergraph.edges
+    return frozenset(e for e in edges if len(e) >= 2 and not any(f < e for f in edges))
+
+
+def ref_each_open_in_one(hypergraph: LabeledHypergraph, edges) -> bool:
+    return all(sum(1 for e in edges if v in e) == 1 for v in ref_open_vertices(hypergraph))
+
+
+def ref_dimension(hypergraph: LabeledHypergraph) -> int:
+    return max(len(e) for e in hypergraph.edges) - 1
+
 
 def ref_closed_vertices(hypergraph: LabeledHypergraph) -> frozenset[int]:
     edge_set = set(hypergraph.edges)
@@ -395,6 +452,33 @@ def _ref_matching_lower(adj: dict[int, set[int]]) -> int:
                 size += 1
                 break
     return size
+
+
+@contextmanager
+def counting_fill_nodes():
+    """Count the nodes of the fill search into the yielded list's one entry.
+
+    Every node picks its branch vertex, or finds no edge left, by one
+    ``_max_degree`` call; the calls of the greedy seed are not counted.
+    """
+    count = [0]
+    max_degree, greedy = bounds._max_degree, bounds._greedy_cover
+    seeding = False
+
+    def counted(adjacency, alive):
+        count[0] += not seeding
+        return max_degree(adjacency, alive)
+
+    def seed(adjacency, alive):
+        nonlocal seeding
+        seeding = True
+        try:
+            return greedy(adjacency, alive)
+        finally:
+            seeding = False
+
+    with patch.object(bounds, "_max_degree", counted), patch.object(bounds, "_greedy_cover", seed):
+        yield count
 
 
 def _ref_min_vertex_cover(adjacency: dict[int, set[int]]) -> set[int]:

@@ -3,8 +3,11 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    _ref_min_vertex_cover,
+    counting_fill_nodes,
     ideals,
     labeled_hypergraphs,
     ref_matching_lower_bound,
@@ -182,6 +185,65 @@ class TestMaskSearches:
         assert_searches_match_reference(h)
 
 
+@st.composite
+def graphs(draw, max_vertices=12):
+    """A graph on vertices 0..n-1 as a dict of neighbour sets."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    adjacency = {v: set() for v in range(n)}
+    for u, v in pairs:
+        if u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
+
+
+def masks_of(adjacency):
+    return [sum(1 << u for u in adjacency[v]) for v in range(len(adjacency))]
+
+
+class TestCliquePartitionBound:
+    """The fill search prunes on the larger of a matching and a clique
+    partition; both are lower bounds, so the witnesses stay the same."""
+
+    @given(graphs(), st.integers(0, (1 << 12) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_never_exceeds_a_minimum_cover(self, adjacency, alive):
+        alive &= (1 << len(adjacency)) - 1
+        induced = {v: {u for u in ns if alive >> u & 1}
+                   for v, ns in adjacency.items() if alive >> v & 1}
+        cover = _ref_min_vertex_cover(induced)
+        assert bounds._clique_lower(masks_of(adjacency), alive) <= len(cover)
+
+    def test_cliques_grow_in_bit_order(self):
+        # a triangle 0-1-2 with a pendant 3 on 2, and the edge 4-5
+        adjacency = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}, 4: {5}, 5: {4}}
+        assert bounds._clique_lower(masks_of(adjacency), 0b111111) == 2 + 0 + 1
+        assert bounds._clique_lower(masks_of(adjacency), 0b111110) == 1 + 0 + 1
+
+    def test_random_ideals_keep_the_reference_witness(self):
+        rng = random.Random(37)
+        for _ in range(1000):
+            nv = rng.randint(4, 12)
+            ideal = random_ideal(rng, nv, rng.randint(2, min(nv, 10, max_antichain(nv))))
+            h = build_hypergraph(ideal)
+            t, fill_set = min_fill_number(h)
+            assert (t, fill_set) == ref_min_fill_number(h)
+            assert t == len(fill_set)
+
+    def test_fewer_nodes_than_the_matching_bound_alone(self, monkeypatch):
+        rng = random.Random(41)
+        hypergraphs = [build_hypergraph(random_ideal(rng, 12, rng.randint(6, 12)))
+                       for _ in range(60)]
+        with counting_fill_nodes() as nodes:
+            covers = [min_fill_number(h) for h in hypergraphs]
+        monkeypatch.setattr(bounds, "_clique_lower", lambda adjacency, alive: 0)
+        with counting_fill_nodes() as matching_nodes:
+            assert [min_fill_number(h) for h in hypergraphs] == covers
+        assert 0 < nodes[0] < matching_nodes[0]
+
+
 class TestFillBound:
     def test_one_fill_example(self):
         assert fill_upper_bound(hyp("di ade bij fgij efg jh ch")) == 4
@@ -306,6 +368,10 @@ class TestBestBounds:
         assert not report.result("matching_lower").applicable
         assert not report.result("matching_formula").applicable
         assert report.best_upper == ("isolated_open_bound", 22)
+
+    def test_reads_no_name_view(self):
+        report = best_bounds(word_ideal("ab bcdef ac eg fg gh hi"))
+        assert not {"labels", "edges", "edge_labels"} & vars(report.hypergraph).keys()
 
     def test_fill_number_computed_once(self, monkeypatch):
         calls = []

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperreg import cli
+from hyperreg.bounds import best_bounds
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
-from hyperreg.monomials import Alphabet
+from hyperreg.monomials import Alphabet, parse_ideal
 from hyperreg.oracle import TaylorComplex, _lattice
-from hyperreg.randgen import max_antichain, variable_names
+from hyperreg.randgen import max_antichain, random_ideal, variable_names
 
 
 @pytest.fixture
@@ -144,6 +146,28 @@ class TestVerifyPaper:
         assert ":: taylor_squares_zero: expected True, got False" in out
         assert "Traceback" not in out + err
 
+    def test_taylor_check_failure_at_one_subset_is_reported(self, capsys, monkeypatch):
+        # one sign flipped at the full subset of four generators breaks d o d
+        # there only, so exactly the four-generator entries fail the check
+        differential = TaylorComplex.differential
+
+        def flipped(self, subset):
+            terms = differential(self, subset)
+            if self.num_generators == 4 and subset == 0b1111:
+                smaller, sign, q = terms[0]
+                terms[0] = (smaller, -sign, q)
+            return terms
+
+        monkeypatch.setattr(TaylorComplex, "differential", flipped)
+        assert cli.main(["verify-paper"]) == 2
+        out, err = capsys.readouterr()
+        failed = [line.split()[1] for line in out.splitlines()
+                  if line.endswith(":: taylor_squares_zero: expected True, got False")]
+        four = [e.name for e in CORPUS if parse_ideal(e.ideal_text).num_generators == 4]
+        assert failed == four and len(four) == 5
+        assert out.count("[FAIL]") == len(four)
+        assert "Traceback" not in out + err
+
     def test_perturbed_corpus_api_reports_diff(self):
         bad = CorpusEntry(
             "perturbed", CORPUS[0].ideal_text,
@@ -172,6 +196,21 @@ class TestRandom:
         assert "aggregate" in records[-1]
         for r in records[:-1]:
             assert r["reg"] <= r["best_upper"]["value"]
+
+    def test_records_match_the_full_report(self, capsys):
+        # each record holds the fields of best_bounds' JSON report it prints
+        assert cli.main(["random", "--vars", "6", "--gens", "3", "--count", "30",
+                         "--seed", "3", "--no-oracle", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        rng = random.Random(3)
+        for r in records:
+            ideal = random_ideal(rng, 6, 3)
+            doc = best_bounds(ideal).to_json_dict(ideal)
+            assert r == {"instance": r["instance"], "gens": doc["ideal"]["gens"],
+                         **doc["hypergraph"], "best_upper": doc["best_upper"],
+                         "best_lower": doc["best_lower"]}
+        assert len(records) == 30
+        assert sum(r["best_lower"] is not None for r in records) >= 10
 
     def test_infeasible_parameters(self, capsys):
         assert cli.main(["random", "--vars", "3", "--gens", "9",

@@ -4,18 +4,27 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    ideal_labeling,
     ideals,
     isomorphic,
     labeled_hypergraphs,
+    labelings,
     ref_closed_vertices,
+    ref_dimension,
+    ref_each_open_in_one,
     ref_has_isolated_open_vertices,
+    ref_hash,
     ref_neighbors,
     ref_open_vertices,
+    ref_separation_witness,
+    ref_simple_edges,
+    ref_views,
     word_ideal,
 )
 from hyperreg.hypergraph import (
     LabeledHypergraph,
     NotSeparatedError,
+    _each_open_in_one,
     build_hypergraph,
     closed_vertices,
     dimension,
@@ -183,6 +192,24 @@ def assert_predicates_match_reference(h):
     assert has_isolated_open_vertices(h) == ref_has_isolated_open_vertices(h)
     for v in h.vertices:
         assert neighbors(h, v) == ref_neighbors(h, v)
+    assert {h.vertex_set(e): m for e, m in h.edge_masks.items()} == {
+        e: h.multiplicity(e) for e in h.edges}
+    assert dimension(h) == ref_dimension(h)
+    assert separation_witness(h) == ref_separation_witness(h)
+    assert simple_edges(h) == ref_simple_edges(h)
+    assert has_isolated_simple_edges(h) == ref_each_open_in_one(h, ref_simple_edges(h))
+    assert _each_open_in_one(h, list(h.edge_masks)) == ref_each_open_in_one(h, h.edges)
+
+
+def assert_views_match_reference(h, vertices, labeling):
+    """The lazy views equal the eagerly built ones, in the same order, and
+    are kept once built; the hash is the one of the sorted labels."""
+    labels, edges, edge_labels = ref_views(labeling)
+    assert list(h.labels.items()) == list(labels.items())
+    assert h.edges == edges
+    assert list(h.edge_labels.items()) == list(edge_labels.items())
+    assert h.labels is h.labels and h.edges is h.edges and h.edge_labels is h.edge_labels
+    assert hash(h) == ref_hash(vertices, labeling)
 
 
 class TestMasks:
@@ -208,6 +235,64 @@ class TestMasks:
     @settings(max_examples=300, deadline=None)
     def test_predicates_match_reference_on_hand_built(self, h):
         assert_predicates_match_reference(h)
+
+
+class TestColumnMasks:
+    """The column masks against the frozenset views and predicates they replace."""
+
+    def test_unused_variables_and_repeated_columns(self):
+        # y and z are declared only; a and b label one edge, and so do c and d
+        ideal = parse_ideal("vars: y z\na b c d\na b e\nc d f")
+        h = build_hypergraph(ideal)
+        assert [g.support for g in ideal.generators] == [
+            ("a", "b", "e"), ("c", "d", "f"), ("a", "b", "c", "d")]
+        assert h.columns == {"a": 0b101, "b": 0b101, "c": 0b110, "d": 0b110,
+                             "e": 0b001, "f": 0b010}
+        assert h.edge_masks == {0b101: 2, 0b110: 2, 0b001: 1, 0b010: 1}
+        assert h.label_count == 6 and h.open_mask == 0b100
+        assert h.multiplicity(frozenset({1, 3})) == 2
+        assert h.edge_labels == {frozenset({1}): ("e",), frozenset({2}): ("f",),
+                                 frozenset({1, 3}): ("a", "b"), frozenset({2, 3}): ("c", "d")}
+        assert_views_match_reference(h, range(1, 4), ideal_labeling(ideal))
+        assert_predicates_match_reference(h)
+
+    def test_random_ideals_match_reference(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            nv = rng.randint(1, 10)
+            ideal = random_ideal(rng, nv, rng.randint(1, min(nv, 8, max_antichain(nv))))
+            h = build_hypergraph(ideal)
+            assert_views_match_reference(h, range(1, ideal.num_generators + 1),
+                                         ideal_labeling(ideal))
+            assert_predicates_match_reference(h)
+
+    @given(labelings())
+    @settings(max_examples=300, deadline=None)
+    def test_hand_built_match_reference(self, drawn):
+        vertices, labeling = drawn
+        h = LabeledHypergraph(vertices, labeling)
+        assert_views_match_reference(h, vertices, labeling)
+        assert_predicates_match_reference(h)
+        # the same labeling in another order, with repeated image members
+        same = LabeledHypergraph(reversed(vertices), {
+            name: list(image) * 2 for name, image in reversed(labeling.items())})
+        assert same == h and hash(same) == hash(h)
+
+    @given(labelings(), labelings())
+    @settings(max_examples=100, deadline=None)
+    def test_equality_is_equality_of_labels(self, first, second):
+        h, g = LabeledHypergraph(*first), LabeledHypergraph(*second)
+        expected = (sorted(first[0]) == sorted(second[0])
+                    and ref_views(first[1])[0] == ref_views(second[1])[0])
+        assert (h == g) == expected
+
+    def test_label_checks(self):
+        with pytest.raises(ValueError, match="'b' has empty image"):
+            LabeledHypergraph([1, 2], {"c": [3], "b": [], "a": [1]})
+        with pytest.raises(ValueError, match="'c' maps outside"):
+            LabeledHypergraph([1, 2], {"c": [1, 3], "d": []})
+        with pytest.raises(ValueError, match="at least one label"):
+            LabeledHypergraph([1, 2], {})
 
 
 class TestIsolatedOpenVertices:
