@@ -92,10 +92,21 @@ def _max_degree(adjacency: list[int], alive: int) -> int | None:
 
 
 def _greedy_cover(adjacency: list[int], alive: int) -> int:
+    """Take a vertex of maximum degree, the lowest on a tie, until no edge is
+    left.  The degrees are kept in a list, dead vertices at 0, and each pick
+    lowers those of its alive neighbours."""
+    degree = [(a & alive).bit_count() if alive >> u & 1 else 0 for u, a in enumerate(adjacency)]
     chosen = 0
-    while (v := _max_degree(adjacency, alive)) is not None:
+    while top := max(degree, default=0):
+        v = degree.index(top)
         chosen |= 1 << v
         alive &= ~(1 << v)
+        degree[v] = 0
+        rest = adjacency[v] & alive
+        while rest:
+            low = rest & -rest
+            degree[low.bit_length() - 1] -= 1
+            rest ^= low
     return chosen
 
 

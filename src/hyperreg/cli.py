@@ -17,7 +17,7 @@ from .bounds import LOWER_METHODS, UPPER_METHODS, BoundReport, best_bounds
 from .corpus import CORPUS, verify_corpus
 from .hypergraph import build_hypergraph, is_saturated, render, to_json_dict
 from .monomials import IdealFormatError, MonomialIdeal, UnitIdealError, parse_ideal
-from .oracle import BettiTable, CapExceededError, FieldSpec, betti_table
+from .oracle import BettiTable, CapExceededError, FieldSpec, _extremes, betti_table
 from .randgen import max_antichain, random_ideal
 
 EXIT_OK = 0
@@ -195,9 +195,8 @@ def cmd_random(args) -> int:
                   "best_upper": {"id": upper, "value": value},
                   "best_lower": lower and {"id": lower[0], "value": lower[1]}}
         if use_oracle:
-            table = betti_table(ideal, field)
-            reg = record["reg"] = table.regularity
-            record["pd"] = table.projective_dimension
+            reg, pd = _extremes(ideal, field)
+            record["reg"], record["pd"] = reg, pd
             record["tightness"] = _tightness(report, reg)
             for method, slack in _slacks(report, reg).items():
                 applicable[method] += 1

@@ -8,8 +8,10 @@ vertex count drives all the regularity formulas in :mod:`hyperreg.bounds`.
 A hypergraph is stored as its column masks: each label's image as a mask,
 bit k standing for the k-th smallest vertex.  The distinct masks are the
 edges, each with its number of labels; every predicate and bound reads them
-by bit operations.  The frozenset views ``labels``, ``edges`` and
-``edge_labels`` are built on first access and kept, for output and the corpus.
+by bit operations.  :func:`build_hypergraph` transposes the generator masks
+into the columns, with no names in between.  The frozenset views
+``labels``, ``edges`` and ``edge_labels`` are built on first access and
+kept, for output and the corpus.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ class LabeledHypergraph:
     """Finite vertex set plus a variable -> vertex-subset labeling map."""
 
     def __init__(self, vertices: Iterable[int], labeling: Mapping[str, Iterable[int]]):
-        self.vertices: tuple[int, ...] = tuple(sorted(set(vertices)))
-        bit = {v: 1 << k for k, v in enumerate(self.vertices)}
-        self.columns: dict[str, int] = {}  # name -> mask of its image, in name order
+        vertices = tuple(sorted(set(vertices)))
+        bit = {v: 1 << k for k, v in enumerate(vertices)}
+        columns: dict[str, int] = {}
         for name in sorted(labeling):
             mask = 0
             for v in labeling[name]:
@@ -46,16 +48,27 @@ class LabeledHypergraph:
                 mask |= bit[v]
             if not mask:
                 raise ValueError(f"label {name!r} has empty image")
-            self.columns[name] = mask
-        if not self.columns:
+            columns[name] = mask
+        if not columns:
             raise ValueError("hypergraph needs at least one label")
-        self.edge_masks: Counter[int] = Counter(self.columns.values())  # mask -> multiplicity
-        adjacency = [0] * len(self.vertices)
+        self._init(vertices, columns)
+
+    def _init(self, vertices: tuple[int, ...], columns: dict[str, int]) -> None:
+        """Set the vertices (sorted), the nonzero column masks (in name
+        order), and the edges with their multiplicities, the open vertices
+        and the adjacency masks derived from them; nothing is checked."""
+        self.vertices: tuple[int, ...] = vertices
+        self.columns: dict[str, int] = columns  # name -> mask of its image
+        self.edge_masks: Counter[int] = Counter(columns.values())  # mask -> multiplicity
+        adjacency = [0] * len(vertices)
         for e in self.edge_masks:
-            for k in _bits(e):
-                adjacency[k] |= e
+            rest = e
+            while rest:
+                low = rest & -rest
+                adjacency[low.bit_length() - 1] |= e
+                rest ^= low
         closed = sum(e for e in self.edge_masks if not e & (e - 1))  # the singleton edges
-        self.open_mask: int = ((1 << len(self.vertices)) - 1) & ~closed
+        self.open_mask: int = ((1 << len(vertices)) - 1) & ~closed
         self.adjacency: tuple[int, ...] = tuple(a & ~(1 << k) for k, a in enumerate(adjacency))
 
     @cached_property
@@ -106,12 +119,21 @@ class LabeledHypergraph:
 
 
 def build_hypergraph(ideal: MonomialIdeal) -> LabeledHypergraph:
-    """Hypergraph of an ideal: vertex j for generator j, edge per variable."""
-    labeling: dict[str, list[int]] = {}
-    for j, mask in enumerate(ideal.generator_masks, start=1):
-        for name in ideal.alphabet.names_of(mask):
-            labeling.setdefault(name, []).append(j)
-    return LabeledHypergraph(range(1, ideal.num_generators + 1), labeling)
+    """Hypergraph of an ideal: vertex j for generator j, edge per variable.
+
+    The columns are the transpose of the generator masks, read in alphabet
+    order, which is name order, as the constructor keeps them.
+    """
+    columns = [0] * len(ideal.alphabet)
+    for j, g in enumerate(ideal.generator_masks):
+        while g:
+            low = g & -g
+            columns[low.bit_length() - 1] |= 1 << j
+            g ^= low
+    hypergraph = LabeledHypergraph.__new__(LabeledHypergraph)
+    hypergraph._init(tuple(range(1, ideal.num_generators + 1)),
+                     {name: c for name, c in zip(ideal.alphabet.names, columns) if c})
+    return hypergraph
 
 
 def ideal_of(hypergraph: LabeledHypergraph, alphabet: Alphabet) -> MonomialIdeal:

@@ -29,6 +29,16 @@ of D with +1 or -1, so beta_{k,b} = r - 1 is its only rank, over every
 field.  Either way beta_{k,b} = (-1)^k f(b), and only degrees with |D| >=
 k + 2 reach a divisibility complex.
 
+At such a hard degree every nonzero beta_{i,b} has k <= i <= |D| - 1.  The
+strand's cells are the subsets of D of sizes k to |D|, so i >= k.  Some
+subset of k generators has lcm b and misses a j in D, so D minus j has
+lcm b too: the top cell D has a nonzero boundary, with an entry +1 or -1,
+and carries no homology over any field.  Hence b can raise the regularity
+to |b| - k at most and the projective dimension to |D| - 1 at most, and
+:func:`regularity` and :func:`projective_dimension` take homology only at
+the hard degrees where one of the two exceeds what the lattice and the
+degrees taken so far give.
+
 Each divisibility complex is first peeled with bit operations on its
 facets.  By the nerve theorem the complex has the homotopy type of the
 nerve of its facets, and the facets that miss a vertex all the others hold
@@ -65,9 +75,10 @@ kept and cross-checked by the tests.
 
 The lcm lattice is built as a closure, one generator at a time, into one
 read-only map from each element to its level, divisors and signed count;
-the Betti tables, :func:`lcm_lattice` and the Taylor bound read that map in
-place, from one build per ideal.  Only the Taylor-complex routes scan all
-2^mu generator subsets.
+:func:`betti_table`, the regularity and projective-dimension scan,
+:func:`lcm_lattice` and the Taylor bound read that map in place, from one
+build per ideal.  Only the Taylor-complex routes scan all 2^mu generator
+subsets.
 """
 
 from __future__ import annotations
@@ -643,7 +654,8 @@ def _lattice(ideal: MonomialIdeal) -> Mapping[int, tuple[int, int, int]]:
     m of b's earlier divisors is an element, m | g = b, and m has them all.
 
     The last ideal's lattice is kept, read-only, so that the Taylor bound
-    and the Betti tables of one ideal share a single build.
+    and the Betti tables or the regularity scan of one ideal share a single
+    build.
     """
     if ideal.num_generators > MAX_LATTICE_GENERATORS:
         raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
@@ -701,19 +713,53 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
             if sign:
                 entries[(k, b)] = -sign if k & 1 else sign
             continue
-        # minimal generators make the facets b & ~g an antichain
-        for d, rank in _union_homology([b & ~gens[j] for j in _bits(divisors)], p).items():
+        for d, rank in _union_homology(_degree_facets(b, divisors, gens), p).items():
             entries[(d + 2, b)] = rank
     return BettiTable(field_spec, ideal.alphabet, entries)
 
 
+def _degree_facets(b: int, divisors: int, gens: Sequence[int]) -> list[int]:
+    """The facets b minus g of the divisibility complex at b, one per divisor
+    g; minimal generators make them an antichain."""
+    return [b & ~gens[j] for j in _bits(divisors)]
+
+
+def _extremes(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> tuple[int, int]:
+    """``(regularity, projective dimension)`` of R/I over GF(p), as
+    :func:`betti_table` gives them, with homology at fewer degrees.
+
+    The settled degrees are read off the lattice as there.  The others are
+    visited by falling |b| - k, and skipped where neither |b| - k nor |D| - 1,
+    the most they can raise the two to, exceeds the values so far.
+    """
+    gens = ideal.generator_masks
+    p = field_spec.characteristic
+    reg = pd = 0  # the entry (0, 0)
+    hard = []
+    for b, (k, divisors, sign) in _lattice(ideal).items():
+        if divisors.bit_count() > k + 1:
+            hard.append((b.bit_count() - k, divisors.bit_count() - 1, b, divisors))
+        elif sign:
+            reg = max(reg, b.bit_count() - k)
+            pd = max(pd, k)
+    hard.sort(reverse=True)
+    for high, deepest, b, divisors in hard:
+        if high <= reg and deepest <= pd:
+            continue
+        for d in _union_homology(_degree_facets(b, divisors, gens), p):
+            reg = max(reg, b.bit_count() - d - 2)
+            pd = max(pd, d + 2)
+    return reg, pd
+
+
 def regularity(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> int:
-    """Castelnuovo-Mumford regularity of R/I over GF(p)."""
-    return betti_table(ideal, field_spec).regularity
+    """Castelnuovo-Mumford regularity of R/I over GF(p), by :func:`_extremes`."""
+    return _extremes(ideal, field_spec)[0]
 
 
 def projective_dimension(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> int:
-    return betti_table(ideal, field_spec).projective_dimension
+    """Projective dimension of R/I over GF(p), by :func:`_extremes`."""
+    return _extremes(ideal, field_spec)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from hyperreg import bounds
+from hyperreg import bounds, oracle
 from hyperreg.bounds import MATCHING_CANDIDATE_CAP
 from hyperreg.hypergraph import LabeledHypergraph, dimension
 from hyperreg.monomials import (
@@ -459,25 +459,41 @@ def counting_fill_nodes():
     """Count the nodes of the fill search into the yielded list's one entry.
 
     Every node picks its branch vertex, or finds no edge left, by one
-    ``_max_degree`` call; the calls of the greedy seed are not counted.
+    ``_max_degree`` call; the greedy seed keeps its own degrees and makes none.
     """
     count = [0]
-    max_degree, greedy = bounds._max_degree, bounds._greedy_cover
-    seeding = False
+    max_degree = bounds._max_degree
 
     def counted(adjacency, alive):
-        count[0] += not seeding
+        count[0] += 1
         return max_degree(adjacency, alive)
 
-    def seed(adjacency, alive):
-        nonlocal seeding
-        seeding = True
-        try:
-            return greedy(adjacency, alive)
-        finally:
-            seeding = False
+    with patch.object(bounds, "_max_degree", counted):
+        yield count
 
-    with patch.object(bounds, "_max_degree", counted), patch.object(bounds, "_greedy_cover", seed):
+
+def max_degree_greedy_cover(adjacency: list[int], alive: int) -> int:
+    """Reference greedy seed on masks: each pick rescans the degree of every
+    alive vertex with ``_max_degree``."""
+    chosen = 0
+    while (v := bounds._max_degree(adjacency, alive)) is not None:
+        chosen |= 1 << v
+        alive &= ~(1 << v)
+    return chosen
+
+
+@contextmanager
+def counting_union_homology():
+    """Count the oracle's ``_union_homology`` calls, the degrees whose
+    homology is taken, into the yielded list's one entry."""
+    count = [0]
+    union_homology = oracle._union_homology
+
+    def counted(facets, p):
+        count[0] += 1
+        return union_homology(facets, p)
+
+    with patch.object(oracle, "_union_homology", counted):
         yield count
 
 

@@ -10,6 +10,7 @@ from helpers import (
     counting_fill_nodes,
     ideals,
     labeled_hypergraphs,
+    max_degree_greedy_cover,
     ref_matching_lower_bound,
     ref_min_fill_number,
     subset_scan_levels,
@@ -242,6 +243,33 @@ class TestCliquePartitionBound:
         with counting_fill_nodes() as matching_nodes:
             assert [min_fill_number(h) for h in hypergraphs] == covers
         assert 0 < nodes[0] < matching_nodes[0]
+
+
+class TestGreedySeed:
+    """The greedy seed keeps a degree list; it takes the same cover as the
+    rescan of every degree by ``_max_degree`` at each pick."""
+
+    @given(graphs(), st.integers(0, (1 << 12) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_rescan_on_graphs(self, adjacency, alive):
+        masks = masks_of(adjacency)
+        alive &= (1 << len(masks)) - 1
+        assert bounds._greedy_cover(masks, alive) == max_degree_greedy_cover(masks, alive)
+
+    def test_matches_the_rescan_on_random_ideals(self):
+        rng = random.Random(43)
+        for _ in range(1000):
+            nv = rng.randint(4, 14)
+            h = build_hypergraph(random_ideal(rng, nv, rng.randint(2, min(nv, 12))))
+            adjacency = [a & h.open_mask for a in h.adjacency]
+            assert (bounds._greedy_cover(adjacency, h.open_mask)
+                    == max_degree_greedy_cover(adjacency, h.open_mask))
+
+    def test_ties_go_to_the_lowest_vertex(self):
+        # the path 0-1-2-3: 1 and 2 tie at degree 2, so 1 goes first, then 2 or 3
+        # at degree 1 each, 2 by the lower bit
+        adjacency = masks_of({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}})
+        assert bounds._greedy_cover(adjacency, 0b1111) == 0b0110
 
 
 class TestFillBound:

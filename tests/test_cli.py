@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import counting_union_homology
 from hyperreg import cli
 from hyperreg.bounds import best_bounds
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet, parse_ideal
-from hyperreg.oracle import TaylorComplex, _lattice
+from hyperreg.oracle import GF3, TaylorComplex, _lattice, betti_table
 from hyperreg.randgen import max_antichain, random_ideal, variable_names
 
 
@@ -197,6 +198,20 @@ class TestRandom:
         for r in records[:-1]:
             assert r["reg"] <= r["best_upper"]["value"]
 
+    def test_sweep_takes_fewer_homologies_than_the_tables(self, capsys):
+        # the pinned GF(3) sweep reads reg and pd by the scan, not by full tables
+        argv = ["random", "--vars", "12", "--gens", "10", "--count", "15", "--seed", "3",
+                "--field", "3", "--json"]
+        with counting_union_homology() as scan:
+            assert cli.main(argv) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        rng = random.Random(3)
+        with counting_union_homology() as full:
+            for r in records:
+                table = betti_table(random_ideal(rng, 12, 10), GF3)
+                assert (r["reg"], r["pd"]) == (table.regularity, table.projective_dimension)
+        assert 0 < scan[0] < full[0]
+
     def test_records_match_the_full_report(self, capsys):
         # each record holds the fields of best_bounds' JSON report it prints
         assert cli.main(["random", "--vars", "6", "--gens", "3", "--count", "30",
@@ -270,6 +285,10 @@ class TestPinnedBytes:
         (["random", "--vars", "12", "--gens", "10", "--count", "15", "--seed", "3",
           "--field", "3", "--json"],
          "3a5059b1ec8495b36de59b49ba9bf460cad083cd4a4fa12135b7949d2a5b8bb2"),
+        # the GF(2) sweep shape where the oracle's scan skips most hard degrees
+        (["random", "--vars", "14", "--gens", "10", "--count", "15", "--seed", "3",
+          "--field", "2", "--json"],
+         "9c6c1ff58c64d3c296bf918ffce75c8582e9ab963fd312538a18bcf2560b7446"),
         (["random", "--vars", "26", "--gens", "20", "--count", "15", "--seed", "3",
           "--no-oracle", "--json"],
          "d13ddf13c94de012e4f71cfde7966acc424eebcea1ec8873c8d90fd9629e6d55"),
@@ -279,7 +298,8 @@ class TestPinnedBytes:
         # text mode: a sweep so small that most of its 200 ideals were drawn before
         (["random", "--vars", "4", "--gens", "3", "--count", "200", "--seed", "1"],
          "cdab90186cbe7bf256fb749bcc967d1690a73edc91170fe2f17a02a493954435"),
-    ], ids=["verify-paper", "random-gf3", "random-no-oracle", "random-text", "random-repeats"])
+    ], ids=["verify-paper", "random-gf3", "random-gf2", "random-no-oracle", "random-text",
+        "random-repeats"])
     def test_command(self, capsys, argv, digest):
         assert cli.main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -335,14 +355,15 @@ class TestOneHypergraph:
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        # the constructor and build_hypergraph both set a hypergraph up by _init
         calls = []
-        init = LabeledHypergraph.__init__
+        init = LabeledHypergraph._init
 
         def counting_init(self, *args, **kwargs):
             calls.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(LabeledHypergraph, "__init__", counting_init)
+        monkeypatch.setattr(LabeledHypergraph, "_init", counting_init)
         return calls
 
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--no-oracle"], ["--json", "--no-oracle"]])

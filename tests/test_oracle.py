@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     _support_key,
     assert_support_key_order,
+    counting_union_homology,
     dense_boundary,
     dense_rank,
     faces,
@@ -32,6 +33,7 @@ from helpers import (
 )
 from hyperreg import oracle
 from hyperreg.bounds import taylor_regularity_bound
+from hyperreg.corpus import CORPUS
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import (
     Alphabet, Monomial, MonomialIdeal, _bits, alexander_dual, parse_ideal)
@@ -46,6 +48,7 @@ from hyperreg.oracle import (
     SimplicialComplex,
     _chain_ranks,
     _element_matchings,
+    _extremes,
     _faces_of_facets,
     _lattice,
     _maximal_masks,
@@ -1302,3 +1305,65 @@ def test_betti_table_past_16_facets_matches_hochster_formula(collapses):
         for p in (2, 3, 5):
             assert dict(betti_table(ideal, FieldSpec(p)).entries) == hochster_betti(ideal, p)
         assert collapses
+
+
+# the Stanley-Reisner ideal of RP2: all edges are faces, so the minimal
+# non-faces are the ten triangles that are not facets
+RP2_STANLEY_REISNER = MonomialIdeal(Alphabet(variable_names(6)), tuple(sorted(
+    (sum(1 << v for v in t) for t in combinations(range(6), 3)
+     if sum(1 << v for v in t) not in RP2), key=_support_key)))
+
+
+class TestExtremes:
+    """reg and pd by the scan that skips the hard degrees which can raise
+    neither equal those of the full table."""
+
+    @staticmethod
+    def table_extremes(ideal, field):
+        table = betti_table(ideal, field)
+        return table.regularity, table.projective_dimension
+
+    def test_matches_the_table_on_random_ideals(self):
+        rng = random.Random(71)
+        for _ in range(2000):
+            nv = rng.randint(4, 14)
+            ideal = random_ideal(rng, nv, rng.randint(3, min(nv, 10)))
+            for field in (GF2, GF3):
+                assert _extremes(ideal, field) == self.table_extremes(ideal, field)
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_matches_the_table_on_the_corpus(self, entry):
+        ideal = parse_ideal(entry.ideal_text)
+        for field in (GF2, GF3):
+            assert _extremes(ideal, field) == self.table_extremes(ideal, field)
+
+    def test_rp2_depends_on_the_field(self):
+        assert _extremes(RP2_STANLEY_REISNER, GF2) == (3, 4) == self.table_extremes(
+            RP2_STANLEY_REISNER, GF2)
+        assert _extremes(RP2_STANLEY_REISNER, GF3) == (2, 3) == self.table_extremes(
+            RP2_STANLEY_REISNER, GF3)
+        assert regularity(RP2_STANLEY_REISNER, GF2) == 3
+        assert projective_dimension(RP2_STANLEY_REISNER, GF3) == 3
+
+    def test_top_cell_bounds_the_homological_degree(self):
+        # the one hard degree abcde has level 2 and four divisors: it can carry
+        # Betti numbers in degrees 2 and 3 only, and the settled degrees already
+        # reach reg 3 (at bcde) and pd 3 (at abce), so no homology is taken
+        ideal = word_ideal("ab ac ae bcde")
+        assert _lattice(ideal)[mono(ideal, "abcde").mask] == (2, 0b1111, 1)
+        with counting_union_homology() as calls:
+            assert _extremes(ideal, GF2) == (3, 3) == self.table_extremes(ideal, GF2)
+            assert calls[0] == 1  # the table's
+        with counting_union_homology() as calls:
+            _extremes(ideal, GF3)
+        assert calls[0] == 0
+
+    def test_level_bounds_the_regularity(self):
+        # the hard degree abcdef, level 2, carries beta_{2,abcdef} = 1: reg 4,
+        # which no settled degree reaches
+        ideal = word_ideal("abc abd abe cdef")
+        assert _lattice(ideal)[mono(ideal, "abcdef").mask] == (2, 0b1111, 1)
+        assert degree_names(betti_table(ideal, GF2))[(2, tuple("abcdef"))] == 1
+        with counting_union_homology() as calls:
+            assert _extremes(ideal, GF2) == (4, 3)
+        assert calls[0] == 1
