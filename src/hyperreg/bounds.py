@@ -1,9 +1,9 @@
 """Regularity bounds and exact formulas from labeled-hypergraph data.
 
-Every method here is combinatorial: none reads a Betti table, so tightness
-comparisons against the oracle stay meaningful (the Taylor bound shares the
-oracle's lcm lattice).  Each method reports applicability, a value when
-applicable, and an optional witness (fill set, matching vertices, ...).
+Every method here is combinatorial: none reads a Betti table or the
+oracle's lcm lattice, so tightness comparisons against the oracle stay
+meaningful.  Each method reports applicability, a value when applicable,
+and an optional witness (fill set, matching vertices, ...).
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .hypergraph import (
     has_isolated_simple_edges,
     is_saturated,
 )
-from .monomials import MonomialIdeal, _bits
-from .oracle import CapExceededError, _lattice
+from .monomials import CapExceededError, MonomialIdeal, _bits
 
 MATCHING_CANDIDATE_CAP = 20
+TAYLOR_BOUND_GENERATORS = 20
 
 UPPER_METHODS = ("saturated_formula", "simple_edge_formula", "matching_formula",
                  "taylor_bound", "isolated_open_bound", "fill_bound")
@@ -53,12 +53,63 @@ def saturated_projective_dimension(hypergraph: LabeledHypergraph) -> int:
 
 
 def taylor_regularity_bound(ideal: MonomialIdeal) -> int:
-    """Upper bound max over generator subsets F of deg(lcm(F)) - |F|.
+    """Upper bound max over generator subsets F of deg(lcm(F)) - |F|, read
+    off the hypergraph by :func:`_taylor_bound`."""
+    hypergraph = build_hypergraph(ideal)
+    return _taylor_bound(hypergraph, _simple_masks(hypergraph))
 
-    For each lcm only the smallest F matters, so the maximum is taken over
-    the lcm lattice with its levels.
+
+def _taylor_bound(hypergraph: LabeledHypergraph, simples: list[int]) -> int:
+    """The Taylor bound from the hypergraph and its simple edges ``simples``.
+
+    A generator that brings a variable lcm(F) lacks raises its degree by at
+    least the 1 it adds to |F|, so adding one for each missing variable
+    never lowers deg(lcm(F)) - |F|: the maximum sits at the lcm of all the
+    generators, of degree |X|, reached by the fewest generators, tau(H),
+    the fewest vertices meeting every edge.  A vertex set meets every edge
+    exactly when it meets the minimal ones: the singletons of the closed
+    vertices, which every such set takes, and the simple edges, which hold
+    no closed vertex.  So the bound is |X| - #closed - tau(S).
+
+    tau(S) is a set cover of S's edges by each open vertex's row, the edges
+    it meets.  The cap of TAYLOR_BOUND_GENERATORS is the lcm lattice's, so
+    the bound applies exactly where the lattice can give it; it also bounds
+    the search to 2^20 nodes.
     """
-    return max(m.bit_count() - level for m, (level, _, _) in _lattice(ideal).items())
+    if hypergraph.num_vertices > TAYLOR_BOUND_GENERATORS:
+        raise CapExceededError(f"Taylor bound capped at {TAYLOR_BOUND_GENERATORS} generators")
+    rows = [0] * hypergraph.num_vertices
+    for i, e in enumerate(simples):
+        for k in _bits(e):
+            rows[k] |= 1 << i
+    rows = [r for r in rows if r]
+    # all the rows, or one row per edge, is a cover
+    tau = _cover_search(rows, (1 << len(simples)) - 1, 0, 0, min(len(rows), len(simples)))
+    closed = hypergraph.num_vertices - hypergraph.open_mask.bit_count()
+    return hypergraph.label_count - closed - tau
+
+
+def _cover_search(rows: list[int], uncovered: int, banned: int, size: int, best: int) -> int:
+    """The fewest rows whose union holds ``uncovered``, plus ``size``, or
+    ``best`` when that is no smaller; rows in the ``banned`` mask are not used.
+
+    Some row meeting the lowest uncovered edge is in every cover, so the
+    search branches over those rows, and bans each one tried from the
+    branches after it: every row set is visited once at most.  A subtree is
+    dropped when even the widest free row could not beat ``best``.
+    """
+    if not uncovered:
+        return size
+    widest = max(((r & uncovered).bit_count() for j, r in enumerate(rows)
+                  if not banned >> j & 1), default=0)
+    if not widest or size - (-uncovered.bit_count() // widest) >= best:
+        return best
+    low = uncovered & -uncovered
+    for j, r in enumerate(rows):
+        if r & low and not banned >> j & 1:
+            best = _cover_search(rows, uncovered & ~r, banned, size + 1, best)
+            banned |= 1 << j
+    return best
 
 
 def iso_upper_bound(hypergraph: LabeledHypergraph) -> int:
@@ -295,7 +346,7 @@ def best_bounds(ideal: MonomialIdeal) -> BoundReport:
     if is_saturated(hypergraph):
         applies("saturated_formula", base, {"projective_dimension": hypergraph.num_vertices})
     try:
-        applies("taylor_bound", taylor_regularity_bound(ideal))
+        applies("taylor_bound", _taylor_bound(hypergraph, simples))
     except CapExceededError:
         pass
     if isolated_open:

@@ -75,10 +75,10 @@ kept and cross-checked by the tests.
 
 The lcm lattice is built as a closure, one generator at a time, into one
 read-only map from each element to its level, divisors and signed count;
-:func:`betti_table`, the regularity and projective-dimension scan,
-:func:`lcm_lattice` and the Taylor bound read that map in place, from one
-build per ideal.  Only the Taylor-complex routes scan all 2^mu generator
-subsets.
+:func:`betti_table`, the regularity and projective-dimension scan and
+:func:`lcm_lattice` each build it and read it in place.  Nothing of an
+ideal is kept between calls.  Only the Taylor-complex routes scan all 2^mu
+generator subsets.
 """
 
 from __future__ import annotations
@@ -631,7 +631,6 @@ def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
                  for m in sorted(_lattice(ideal), key=_canonical_key))
 
 
-@lru_cache(maxsize=1)
 def _lattice(ideal: MonomialIdeal) -> Mapping[int, tuple[int, int, int]]:
     """The lcm lattice of an ideal: a read-only map from each lcm b of a
     nonempty generator subset to ``(level, divisors, sign)``.
@@ -652,10 +651,6 @@ def _lattice(ideal: MonomialIdeal) -> Mapping[int, tuple[int, int, int]]:
     m's signed count, as it stood before g, from that of m | g.  The
     divisors are complete: for b other than g and divisible by it, the lcm
     m of b's earlier divisors is an element, m | g = b, and m has them all.
-
-    The last ideal's lattice is kept, read-only, so that the Taylor bound
-    and the Betti tables or the regularity scan of one ideal share a single
-    build.
     """
     if ideal.num_generators > MAX_LATTICE_GENERATORS:
         raise CapExceededError(f"lcm lattice capped at {MAX_LATTICE_GENERATORS} generators")
@@ -703,7 +698,7 @@ def betti_table(ideal: MonomialIdeal, field_spec: FieldSpec = GF2) -> BettiTable
     numbers of a monomial ideal live.  A degree whose Taylor strand holds
     subsets of its level and one more only is read off the lattice's signed
     count; the others take the homology of their divisibility complex.
-    Each call computes its table; only the lcm lattice is kept (one ideal).
+    Each call computes its table and keeps nothing.
     """
     gens = ideal.generator_masks
     p = field_spec.characteristic

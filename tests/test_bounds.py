@@ -1,5 +1,7 @@
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +34,14 @@ from hyperreg.bounds import (
 )
 from hyperreg.hypergraph import (
     LabeledHypergraph,
+    _simple_masks,
     build_hypergraph,
     dimension,
     neighbors,
     open_vertices,
 )
 from hyperreg.monomials import parse_ideal
-from hyperreg.oracle import GF2, CapExceededError, regularity
+from hyperreg.oracle import GF2, CapExceededError, _lattice, regularity
 from hyperreg.randgen import max_antichain, random_ideal
 
 
@@ -100,6 +103,89 @@ class TestTaylorBound:
     def test_matches_subset_scan(self, ideal):
         levels = subset_scan_levels(ideal)
         assert taylor_regularity_bound(ideal) == max(m.bit_count() - k for m, k in levels.items())
+
+
+def transversal_number(hypergraph):
+    """Reference tau(H): the fewest vertices meeting every edge, by trying
+    every vertex subset in order of size."""
+    n = hypergraph.num_vertices
+    for size in range(n + 1):
+        for chosen in combinations(range(n), size):
+            mask = sum(1 << k for k in chosen)
+            if all(e & mask for e in hypergraph.edge_masks):
+                return size
+    raise AssertionError("the whole vertex set meets every edge")
+
+
+def lattice_taylor_value(ideal):
+    """The Taylor bound as the lcm lattice gives it: max of |m| - level."""
+    return max(m.bit_count() - level for m, (level, _, _) in _lattice(ideal).items())
+
+
+def counted_cover_search(monkeypatch):
+    calls = []
+    search = bounds._cover_search
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(bounds, "_cover_search", counted)
+    return calls
+
+
+class TestTaylorFromHypergraph:
+    """The Taylor bound as |X| - #closed - tau(S), S the simple edges,
+    against the lcm lattice it no longer reads."""
+
+    @given(ideals())
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_maximum_sits_at_the_top(self, ideal):
+        levels = {m: level for m, (level, _, _) in _lattice(ideal).items()}
+        top = ideal.variables_used
+        assert max(m.bit_count() - k for m, k in levels.items()) == top.bit_count() - levels[top]
+
+    def test_matches_the_lattice_on_random_ideals(self):
+        rng = random.Random(53)
+        for _ in range(500):
+            ideal = random_ideal(rng, rng.randint(14, 26), rng.randint(12, 20))
+            assert taylor_regularity_bound(ideal) == lattice_taylor_value(ideal)
+
+    @given(labeled_hypergraphs(max_vertices=10))
+    @settings(max_examples=400, deadline=None)
+    def test_transversal_matches_brute_force(self, h):
+        value = bounds._taylor_bound(h, _simple_masks(h))
+        assert h.label_count - value == transversal_number(h)
+
+    @pytest.mark.parametrize("gens, value, nodes", [
+        ([f"x{i:02d} x{(i + 1) % 20:02d}" for i in range(20)], 10, 111),  # C20
+        ([f"x{i:02d} x{i + 1:02d}" for i in range(20)], 10, 89),  # P20
+        ([f"x{i:02d}" for i in range(20)], 0, 1),  # 20 single variables
+        # all 120 pairs on 16 vertices as edges: tau is a vertex cover of K16
+        ([" ".join(f"e{a:02d}{b:02d}" for a, b in combinations(range(16), 2) if j in (a, b))
+          for j in range(16)], 105, 109),
+    ], ids=["C20", "P20", "singles20", "pairs16"])
+    def test_node_counts(self, monkeypatch, gens, value, nodes):
+        calls = counted_cover_search(monkeypatch)
+        assert taylor_regularity_bound(parse_ideal("\n".join(gens))) == value
+        assert len(calls) == nodes
+
+    def test_best_bounds_searches_up_to_the_cap(self, monkeypatch):
+        calls = counted_cover_search(monkeypatch)
+        assert best_bounds(word_ideal("ab ac bc")).best_upper == ("taylor_bound", 1)
+        assert len(calls) > 0
+        calls.clear()
+        best_bounds(parse_ideal("\n".join(f"x{i:02d} x{(i + 1) % 21:02d}" for i in range(21))))
+        assert calls == []
+
+    def test_bounds_imports_nothing_from_the_oracle(self):
+        tree = ast.parse(Path(bounds.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module not in ("oracle", "hyperreg.oracle")
+                assert not (node.module is None and any(a.name == "oracle" for a in node.names))
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "hyperreg.oracle" for a in node.names)
 
 
 class TestIsoBound:

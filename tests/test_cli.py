@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import counting_union_homology
-from hyperreg import cli
+from hyperreg import cli, oracle
 from hyperreg.bounds import best_bounds
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet, parse_ideal
-from hyperreg.oracle import GF3, TaylorComplex, _lattice, betti_table
+from hyperreg.oracle import GF3, TaylorComplex, betti_table
 from hyperreg.randgen import max_antichain, random_ideal, variable_names
 
 
@@ -324,6 +324,24 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "838250af7b87417145e53172607b0c00b7a14969f9436f40154687079a8537dd")
 
+    @pytest.mark.parametrize("text, taylor, digest", [
+        # the Taylor bound is the best upper bound
+        ("a b\na c\nb c\n", {"id": "taylor_bound", "applicable": True, "value": 1,
+                              "witness": None},
+         "8eef3d81a0dca5d05ca93570177957d5cf3fec246c44b0f6251e2cfe58340e99"),
+        # the cycle C21: past 20 generators the Taylor bound (it would be 10) does not apply
+        ("".join(f"x{i:02d} x{(i + 1) % 21:02d}\n" for i in range(21)),
+         {"id": "taylor_bound", "applicable": False, "value": None, "witness": None},
+         "a1dbd3300ca7875ade991b4fb2df268a28c0f59114e0c39e93c12706ed0a19d9"),
+    ], ids=["triangle", "cycle-21"])
+    def test_analyze_taylor_bound_across_the_cap(self, capsys, tmp_path, text, taylor, digest):
+        path = tmp_path / "input.ideal"
+        path.write_text(text)
+        assert cli.main(["analyze", str(path), "--no-oracle", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["methods"][1] == taylor
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_analyze_one_dimensional_text_with_oracle(self, capsys, tmp_path):
         path = tmp_path / "onedim.ideal"
         path.write_text(self.ONE_DIMENSIONAL)
@@ -377,13 +395,20 @@ class TestOneHypergraph:
 
 
 class TestOneLattice:
-    """Each ideal's lcm lattice is built once and shared by the Taylor bound
-    of ``best_bounds`` and the oracle's Betti tables."""
+    """The oracle builds each ideal's lcm lattice once per table or scan and
+    keeps none; ``best_bounds`` and every ``--no-oracle`` command build none."""
 
     @pytest.fixture
-    def builds(self):
-        _lattice.cache_clear()
-        return lambda: _lattice.cache_info().misses
+    def builds(self, monkeypatch):
+        calls = []
+        lattice = oracle._lattice
+
+        def counted(ideal):
+            calls.append(ideal)
+            return lattice(ideal)
+
+        monkeypatch.setattr(oracle, "_lattice", counted)
+        return lambda: len(calls)
 
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--field", "3"]])
     def test_analyze_builds_once(self, capsys, builds, saturated_file, extra):
@@ -398,8 +423,27 @@ class TestOneLattice:
         assert builds() == 5
 
     def test_corpus_builds_once_per_entry(self, builds):
-        assert verify_corpus(CORPUS).ok
+        assert verify_corpus(CORPUS, primes=(2,)).ok
         assert builds() == len(CORPUS)
+
+    def test_corpus_builds_once_per_entry_and_prime(self, builds):
+        assert verify_corpus(CORPUS, primes=(2, 3)).ok
+        assert builds() == 2 * len(CORPUS)
+
+    def test_best_bounds_builds_none(self, builds):
+        assert best_bounds(parse_ideal("a b\na c\nb c\n")).best_upper == ("taylor_bound", 1)
+        assert builds() == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "FILE", "--no-oracle"],
+        ["analyze", "FILE", "--no-oracle", "--json"],
+        ["random", "--vars", "6", "--gens", "4", "--count", "5", "--seed", "3", "--no-oracle"],
+        ["random", "--vars", "6", "--gens", "4", "--count", "5", "--seed", "3", "--no-oracle",
+         "--json"],
+    ])
+    def test_no_oracle_builds_none(self, capsys, builds, saturated_file, argv):
+        assert cli.main([saturated_file if a == "FILE" else a for a in argv]) == 0
+        assert builds() == 0
 
 
 _NAMES = ["a", "b", "c", "d", "e", "x1", "y_2", "Z", "9"]

@@ -1,3 +1,4 @@
+import ast
 import gc
 import random
 import sys
@@ -6,6 +7,7 @@ from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -32,7 +34,7 @@ from helpers import (
     word_ideal,
 )
 from hyperreg import oracle
-from hyperreg.bounds import taylor_regularity_bound
+from hyperreg.bounds import TAYLOR_BOUND_GENERATORS, taylor_regularity_bound
 from hyperreg.corpus import CORPUS
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import (
@@ -341,9 +343,25 @@ class TestLatticeLevels:
             assert isinstance(values, tuple)
             with pytest.raises(TypeError):
                 values[0] = 9
-        assert _lattice(ideal) is lattice
         assert lattice_levels(ideal) == subset_scan_levels(ideal)
         assert taylor_regularity_bound(ideal) == 4
+
+    def test_no_memo(self):
+        # each call builds its own map; nothing of an ideal is kept between calls
+        ideal = parse_ideal(self.COLLISION)
+        assert not hasattr(_lattice, "cache_info")
+        assert _lattice(ideal) is not _lattice(ideal)
+
+    def test_subsets_holding_is_the_only_memo(self):
+        cached = []
+        for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef):
+                    for d in node.decorator_list:
+                        name = ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                        if name.rsplit(".", 1)[-1] in ("lru_cache", "cache"):
+                            cached.append(node.name)
+        assert cached == ["_subsets_holding"]
 
 
 class TestBettiTable:
@@ -567,11 +585,18 @@ class TestTaylorMinimal:
 class TestGeneratorCaps:
     """Each generator cap is enforced by the one scan it bounds, with one message."""
 
-    @pytest.mark.parametrize("compute", [lcm_lattice, betti_table, taylor_regularity_bound])
+    @pytest.mark.parametrize("compute", [lcm_lattice, betti_table])
     def test_lattice_cap(self, compute):
         ideal = parse_ideal("\n".join(variable_names(MAX_LATTICE_GENERATORS + 1)))
         with pytest.raises(CapExceededError, match="^lcm lattice capped at 20 generators$"):
             compute(ideal)
+
+    def test_taylor_bound_cap(self):
+        # the bound reads no lattice; it keeps the lattice's applicability under its own cap
+        assert TAYLOR_BOUND_GENERATORS == MAX_LATTICE_GENERATORS
+        ideal = parse_ideal("\n".join(variable_names(TAYLOR_BOUND_GENERATORS + 1)))
+        with pytest.raises(CapExceededError, match="^Taylor bound capped at 20 generators$"):
+            taylor_regularity_bound(ideal)
 
     @pytest.mark.parametrize("compute", [taylor_complex, taylor_strand_betti, is_taylor_minimal])
     def test_taylor_cap(self, compute):
