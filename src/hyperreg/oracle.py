@@ -47,31 +47,25 @@ monomial resolutions*; Barmak-Minian, *Strong homotopy types, nerves and
 collapses*).  When every generator dividing b has a variable of b that no
 other divisor has, that settles the degree: beta_{k,b} = 1 for the k
 divisors, as in the Taylor complex, and no other rank there (betti_table
-reads such degrees off the lattice first).  Cones
-and a peel that covers the complex give no homology.  Where nothing peels
-and more than 16 facets remain, dominated vertices are deleted in passes
-(a strong collapse, which preserves homotopy type and hence all homology
-ranks), and the peel goes on with what is left; the boundary of a simplex
-peels to a sphere.
+reads such degrees off the lattice first).  Cones and a peel that covers
+the complex give no homology; the boundary of a simplex peels to a sphere.
 
-Past the peel there are two routines.  Element matchings pair a face with
-the face one element larger, for each element in turn.  They are acyclic
-(Jonsson, *Simplicial Complexes of Graphs*) and every incidence is +1 or
--1, so the unmatched, critical cells carry a Morse complex with the same
-integral homology (Forman, *Morse theory for cell complexes*).  Its
-differential between critical cells of adjacent dimensions is read off the
-gradient flow, which visits each face at most once, and its ranks are
-taken mod p, so torsion is exact.  The faces are one bit per element
-subset, so the elements are at most 16: a core with at most 16 facets is
-matched on its nerve, where vertex i is facet i and the faces are
-generated by the sets of facets holding each vertex of the union, and a
-core with more, on at most 16 vertices, on its own faces, the first
-element being v, the vertex in the most facets.  Other cores reach the
-boundary matrices relative to the closed star of v, a cone, so H~(K) =
-H(K, st v) and only the faces outside the star get a basis element
-(Mrozek-Pilarczyk-Zelazna, *Homology algorithm based on acyclic
-subspace*).  The raw no-collapse path eliminates the whole complex, and is
-kept and cross-checked by the tests.
+Past the peel, element matchings pair a face with the face one element
+larger, for each element in turn.  They are acyclic (Jonsson, *Simplicial
+Complexes of Graphs*) and every incidence is +1 or -1, so the unmatched,
+critical cells carry a Morse complex with the same integral homology
+(Forman, *Morse theory for cell complexes*).  Its differential between
+critical cells of adjacent dimensions is read off the gradient flow, which
+visits each face at most once, and its ranks are taken mod p, so torsion is
+exact.  The faces are one bit per element subset, and the elements are the
+core's smaller side: its facets, on its nerve, where vertex i is facet i
+and the faces are generated by the sets of facets holding each vertex of
+the union, or else its vertices, on its own faces.  A lattice degree has at
+most ``MAX_LATTICE_GENERATORS`` = 20 divisors, hence facets, so every core
+of :func:`betti_table` is matched on at most 20 elements, a 2^20-bit int.
+Only a complex given directly with more than 20 facets and more than 20
+vertices reaches the boundary matrices of all its faces, capped at 2^16
+faces; so does the raw no-peel path, which the tests cross-check.
 
 The lcm lattice is built as a closure, one generator at a time, into one
 read-only map from each element to its level, divisors and signed count;
@@ -184,6 +178,8 @@ class SimplicialComplex:
         for f in facets:
             mask = 0
             for v in f:
+                if v not in index:
+                    raise ValueError(f"face vertex {v!r} lies outside the vertex set")
                 mask |= 1 << index[v]
             facet_masks.append(mask)
         return cls(verts, facet_masks)
@@ -219,38 +215,6 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _strong_collapse(facets: list[int]) -> list[int]:
-    """Delete dominated vertices, in passes, until none remain.
-
-    ``facets`` must be an antichain; the facets of the core are returned.
-    A vertex is dominated when some other vertex belongs to every facet
-    containing it; deleting it preserves the homotopy type, so all reduced
-    homology ranks are unchanged.  Each pass takes, for every vertex v, the
-    intersection common[v] of the facets containing v, and deletes in vertex
-    order each v whose common[v] holds a vertex other than v not yet deleted
-    in the pass.  That vertex lies in every facet containing v of the complex
-    left by the earlier deletions, so each deletion is a strong collapse.
-    """
-    while True:
-        union = 0
-        for f in facets:
-            union |= f
-        removed = 0
-        rest = union
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            common = union
-            for f in facets:
-                if f & bit:
-                    common &= f
-            if common & ~removed & ~bit:
-                removed |= bit
-        if not removed:
-            return facets
-        facets = _maximal_masks([f & ~removed for f in facets])
-
-
 def _face_set(facets: Iterable[int]) -> set[int]:
     """Every face of the given facets, as masks, capped at ``MAX_COMPLEX_FACES``."""
     faces: set[int] = set()
@@ -272,19 +236,6 @@ def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
     for m in _face_set(facets):
         grouped.setdefault(m.bit_count() - 1, []).append(m)
     return {d: tuple(sorted(layer)) for d, layer in sorted(grouped.items())}
-
-
-def _outside_star(facets: list[int], bit: int) -> dict[int, tuple[int, ...]]:
-    """The faces of the union of ``facets`` outside the closed star of the
-    vertex ``bit``, as sorted masks keyed by dimension.
-
-    A face lies in the star when it lies in a facet holding the vertex, so
-    the faces outside are those of the facets missing it that lie in no
-    link facet ``f & ~bit``.
-    """
-    layers = _faces_of_facets([f for f in facets if not f & bit])
-    link = _face_set(f ^ bit for f in facets if f & bit)
-    return {d: tuple(m for m in layer if m not in link) for d, layer in layers.items()}
 
 
 @lru_cache(maxsize=None)
@@ -320,12 +271,14 @@ def _element_matchings(tops: Iterable[int], n: int) -> tuple[int, list[int]]:
     return cells, steps
 
 
-def _morse_flow(face: int, critical: int, steps: list[int],
+def _morse_flow(face: int, critical: bytes, steps: list[bytes],
                 flows: dict[int, dict[int, int]]) -> dict[int, int]:
     """The critical cells, with integer coefficients, that the gradient flow
     of the element matchings ``steps`` carries ``face`` to.
 
-    A critical face flows to itself, and a face paired with one below it to
+    ``critical`` and ``steps`` are the masks of :func:`_element_matchings` as
+    little-endian bytes, so testing a face reads one byte at every n.  A
+    critical face flows to itself, and a face paired with one below it to
     nothing.  A face s paired by the matching for j with t = s + j flows as
     -[t : s] times the sum of [t : r] r over the other faces r of t, where
     [t : t - i] is -1 to the number of elements of t below i.  The matchings
@@ -338,9 +291,10 @@ def _morse_flow(face: int, critical: int, steps: list[int],
         if s in flows:
             stack.pop()
             continue
-        j = next((j for j, low in enumerate(steps) if low >> s & 1), -1)
+        byte, bit = s >> 3, 1 << (s & 7)
+        j = next((j for j, low in enumerate(steps) if low[byte] & bit), -1)
         if j < 0:  # critical, or paired with a face below it
-            flows[s] = {s: 1} if critical >> s & 1 else {}
+            flows[s] = {s: 1} if critical[byte] & bit else {}
         else:
             top = s | 1 << j
             pending = [top ^ 1 << i for i in _bits(s) if top ^ 1 << i not in flows]
@@ -373,14 +327,19 @@ def _morse_homology(tops: Iterable[int], n: int, p: int) -> dict[int, int]:
     for s in _bits(critical):
         cells.setdefault(s.bit_count() - 1, []).append(s)
     flows: dict[int, dict[int, int]] = {}
+    views: tuple = ()  # critical and steps as bytes, built for the first differential
     ranks = {}
     for d, layer in cells.items():
         if d - 1 in cells:
+            if not views:
+                size = (1 << n >> 3) + 1
+                views = (critical.to_bytes(size, "little"),
+                         [low.to_bytes(size, "little") for low in steps])
             rows = []
             for s in layer:
                 row: dict[int, int] = {}
                 for k, i in enumerate(_bits(s)):
-                    for cell, c in _morse_flow(s ^ 1 << i, critical, steps, flows).items():
+                    for cell, c in _morse_flow(s ^ 1 << i, *views, flows).items():
                         row[cell] = row.get(cell, 0) + (-c if k & 1 else c)
                 rows.append({cell: c % p for cell, c in row.items() if c % p})
             ranks[d] = len(_rank_sparse(rows, p))
@@ -474,16 +433,15 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     in all facets, which maximalizing the f & C can create), and for the
     complex whose only face is empty.
 
-    A core left without such facets, with more than 16 of them, is
-    strong-collapsed, and the peel goes on unless the collapse deleted
-    nothing; after a collapse to the boundary of a simplex every facet is
-    peeled, with C empty.  A core of m facets with 2^m <=
-    ``MAX_COMPLEX_FACES`` is settled on its nerve by :func:`_nerve_homology`,
-    with the facets in the order the peel leaves them.  A core with more,
-    on n vertices with 2^n <= ``MAX_COMPLEX_FACES``, is settled by
+    Past the peel, the core of m facets on n vertices is settled by element
+    matchings on its smaller side, which the lattice's generator cap bounds:
+    on its nerve by :func:`_nerve_homology`, with the facets in the order the
+    peel leaves them, when m <= n and m <= ``MAX_LATTICE_GENERATORS``;
+    otherwise, when n <= ``MAX_LATTICE_GENERATORS``, by
     :func:`_morse_homology` on its own faces, with the vertices by falling
-    facet count, the lowest on a tie.  Anything else goes through the chain
-    complex relative to the closed star of the first of those vertices.
+    facet count, the lowest on a tie.  A lattice degree has at most that
+    many divisors, hence facets, so only a complex given directly can have
+    both sides larger; it goes through the chain complex of all its faces.
     """
     shift = 0
     while True:
@@ -500,13 +458,7 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
             return {shift - 1: 1}
         private = union & once & ~twice  # vertices missed by one facet only
         if not private:
-            if 1 << len(facets) <= MAX_COMPLEX_FACES:
-                break
-            core = _strong_collapse(facets)
-            if core == facets:
-                break
-            facets = core
-            continue
+            break
         meet = -1
         rest = []
         for f in facets:
@@ -518,15 +470,15 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
         if not meet:
             return {} if rest else {shift - 2: 1}
         facets = _maximal_masks([f & meet for f in rest])
-    if 1 << len(facets) <= MAX_COMPLEX_FACES:
+    n = union.bit_count()
+    if len(facets) <= min(n, MAX_LATTICE_GENERATORS):
         homology = _nerve_homology(facets, p)
-    else:
+    elif n <= MAX_LATTICE_GENERATORS:
         order = sorted(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets), reverse=True)
-        if 1 << len(order) <= MAX_COMPLEX_FACES:
-            homology = _morse_homology(
-                (sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets), len(order), p)
-        else:
-            homology = _chain_ranks(_outside_star(facets, 1 << order[0]), p)
+        homology = _morse_homology(
+            (sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets), n, p)
+    else:
+        homology = _chain_ranks(_faces_of_facets(facets), p)
     return {d + shift: r for d, r in homology.items()}
 
 
@@ -534,12 +486,13 @@ def reduced_homology_ranks(
         complex_: SimplicialComplex, field: FieldSpec, precollapse: bool = True) -> list[int]:
     """Ranks of reduced homology over GF(p), listed for dimensions -1..dim.
 
-    With ``precollapse`` the complex takes the route of ``betti_table``:
-    it is peeled (a known suspension of the same homotopy type, so the
-    ranks shift by a known amount), with a strong collapse where nothing
-    peels and more than 16 facets remain; then a core of at most 16 facets
-    or vertices is settled by element matchings and its Morse differential.
-    Without it the boundary matrices of the complex are eliminated as given.
+    ``precollapse`` selects the peel-and-matchings route of
+    ``betti_table``: the complex is peeled (a known suspension of the same
+    homotopy type, so the ranks shift by a known amount), and the core is
+    settled by element matchings on its nerve or its own faces, whichever
+    side is smaller, and their Morse differential; a core with more than 20
+    of both takes the chain complex of its faces.  Without it the boundary
+    matrices of the complex are eliminated as given.
     """
     if complex_.is_void:
         return []

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import random
 import re
 from contextlib import contextmanager
 from itertools import permutations
@@ -26,10 +27,9 @@ from hyperreg.oracle import (
     CapExceededError,
     SimplicialComplex,
     TaylorComplex,
-    _maximal_masks,
     _subset_lcms,
 )
-from hyperreg.randgen import variable_names
+from hyperreg.randgen import random_ideal, variable_names
 
 
 def _support_key(mask: int) -> tuple[int, tuple[int, ...]]:
@@ -255,29 +255,6 @@ def faces(complex_: SimplicialComplex, dim: int) -> tuple[frozenset, ...]:
 def has_face(complex_: SimplicialComplex, face) -> bool:
     members = frozenset(face)
     return members in faces(complex_, len(members) - 1)
-
-
-def restart_strong_collapse(facets: list[int]) -> list[int]:
-    """Reference strong collapse: delete one dominated vertex at a time,
-    re-maximalize the facets and restart the scan."""
-    facets = _maximal_masks(facets)
-    changed = True
-    while changed:
-        changed = False
-        union = 0
-        for f in facets:
-            union |= f
-        for v in _bits(union):
-            bit = 1 << v
-            common = ~0
-            for f in facets:
-                if f & bit:
-                    common &= f
-            if common & ~bit & union:
-                facets = _maximal_masks([f & ~bit for f in facets])
-                changed = True
-                break
-    return facets
 
 
 def taylor_rank(complex_: TaylorComplex, i: int) -> int:
@@ -566,3 +543,22 @@ def ref_matching_lower_bound(
     if witness is None:
         return None
     return value, witness
+
+
+def draws_at_the_lattice_cap() -> list[MonomialIdeal]:
+    """Ten seeded draws of 20 generators on 26 variables, the most
+    generators the lcm lattice takes."""
+    rng = random.Random(5)
+    return [random_ideal(rng, 26, 20) for _ in range(10)]
+
+
+def ideal_text(ideal: MonomialIdeal) -> str:
+    """The ideal as the CLI reads it: one generator per line."""
+    return "".join(" ".join(ideal.alphabet.names_of(g)) + "\n" for g in ideal.generator_masks)
+
+
+def greedy_matching(adjacency: list[int], alive: int) -> int:
+    """Size of the greedy matching on the alive vertices of a mask graph:
+    each unmatched vertex, in bit order, takes its lowest unmatched alive
+    neighbour."""
+    return _ref_matching_lower({v: set(_bits(adjacency[v] & alive)) for v in _bits(alive)})

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     _ref_min_vertex_cover,
     counting_fill_nodes,
+    greedy_matching,
     ideals,
     labeled_hypergraphs,
     max_degree_greedy_cover,
@@ -291,8 +292,9 @@ def masks_of(adjacency):
 
 
 class TestCliquePartitionBound:
-    """The fill search prunes on the larger of a matching and a clique
-    partition; both are lower bounds, so the witnesses stay the same."""
+    """The fill search prunes on a greedy clique partition, a lower bound,
+    so the witnesses stay the same; it is never below the greedy matching,
+    which would prune nowhere it has not."""
 
     @given(graphs(), st.integers(0, (1 << 12) - 1))
     @settings(max_examples=300, deadline=None)
@@ -302,6 +304,27 @@ class TestCliquePartitionBound:
                    for v, ns in adjacency.items() if alive >> v & 1}
         cover = _ref_min_vertex_cover(induced)
         assert bounds._clique_lower(masks_of(adjacency), alive) <= len(cover)
+
+    def test_never_below_the_greedy_matching_on_small_graphs(self):
+        # every labeled graph on up to 6 vertices, so every bit order of each;
+        # at most 6 alive vertices of a larger graph induce one of these
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for edges in range(1 << len(pairs)):
+                adjacency = [0] * n
+                for k, (u, v) in enumerate(pairs):
+                    if edges >> k & 1:
+                        adjacency[u] |= 1 << v
+                        adjacency[v] |= 1 << u
+                alive = (1 << n) - 1
+                assert bounds._clique_lower(adjacency, alive) >= greedy_matching(adjacency, alive)
+
+    @given(graphs(max_vertices=16), st.integers(0, (1 << 16) - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_never_below_the_greedy_matching(self, adjacency, alive):
+        masks = masks_of(adjacency)
+        alive &= (1 << len(masks)) - 1
+        assert bounds._clique_lower(masks, alive) >= greedy_matching(masks, alive)
 
     def test_cliques_grow_in_bit_order(self):
         # a triangle 0-1-2 with a pendant 3 on 2, and the edge 4-5
@@ -325,7 +348,7 @@ class TestCliquePartitionBound:
                        for _ in range(60)]
         with counting_fill_nodes() as nodes:
             covers = [min_fill_number(h) for h in hypergraphs]
-        monkeypatch.setattr(bounds, "_clique_lower", lambda adjacency, alive: 0)
+        monkeypatch.setattr(bounds, "_clique_lower", greedy_matching)
         with counting_fill_nodes() as matching_nodes:
             assert [min_fill_number(h) for h in hypergraphs] == covers
         assert 0 < nodes[0] < matching_nodes[0]

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_union_homology
+from helpers import counting_union_homology, draws_at_the_lattice_cap, ideal_text
 from hyperreg import cli, oracle
-from hyperreg.bounds import best_bounds
+from hyperreg.bounds import LOWER_METHODS, UPPER_METHODS, best_bounds
 from hyperreg.corpus import CORPUS, CorpusEntry, Expectation, verify_corpus
 from hyperreg.hypergraph import LabeledHypergraph
 from hyperreg.monomials import Alphabet, parse_ideal
@@ -105,6 +105,23 @@ class TestAnalyze:
         assert captured.err == "warning: oracle skipped: lcm lattice capped at 20 generators\n"
         assert "fill_bound" in captured.out
         assert "reg=" not in captured.out
+
+    def test_json_report_at_the_lattice_cap(self, tmp_path):
+        # 20 generators on 26 variables: the oracle answers with nothing on
+        # stderr, and the applicable bounds hold its regularity between them
+        path = tmp_path / "cap.ideal"
+        path.write_text(ideal_text(draws_at_the_lattice_cap()[0]))
+        code, out, err = _run(["analyze", str(path), "--json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        reg = doc["oracle"]["reg"]
+        applicable = {m["id"]: m["value"] for m in doc["methods"] if m["applicable"]}
+        assert set(applicable) & set(UPPER_METHODS)
+        for method, value in applicable.items():
+            if method in UPPER_METHODS:
+                assert value >= reg
+            if method in LOWER_METHODS:
+                assert value <= reg
 
     def test_matching_cap_no_oracle(self, capsys, tmp_path):
         path = tmp_path / "onedim.ideal"

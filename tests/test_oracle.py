@@ -20,12 +20,12 @@ from helpers import (
     counting_union_homology,
     dense_boundary,
     dense_rank,
+    draws_at_the_lattice_cap,
     faces,
     has_face,
     hochster_betti,
     ideals,
     nerve_faces,
-    restart_strong_collapse,
     subset_scan_levels,
     subset_scan_strands,
     taylor_rank,
@@ -56,9 +56,7 @@ from hyperreg.oracle import (
     _maximal_masks,
     _morse_homology,
     _nerve_homology,
-    _outside_star,
     _rank_sparse,
-    _strong_collapse,
     _subset_lcms,
     _union_homology,
     betti_table,
@@ -184,6 +182,11 @@ class TestSimplicialComplex:
     def test_from_faces_validates_downward_closure(self):
         with pytest.raises(ValueError):
             SimplicialComplex.from_faces("ab", [("a", "b")])
+
+    @pytest.mark.parametrize("build", [SimplicialComplex.from_facets, SimplicialComplex.from_faces])
+    def test_face_vertex_outside_the_vertex_set_is_named(self, build):
+        with pytest.raises(ValueError, match="face vertex 3 lies outside the vertex set"):
+            build([0, 1, 2], [(), (0,), (1,), (0, 1), (3,)])
 
     def test_from_facets_closes_downward(self):
         c = SimplicialComplex.from_facets("abc", [("a", "b"), ("c",)])
@@ -683,36 +686,12 @@ def test_peel_matches_chain_complex(family):
         assert _union_homology(facets, p) == _chain_ranks(layers, p)
 
 
-@given(facet_families(max_vertices=9, max_facets=10))
-@settings(max_examples=300, deadline=None)
-def test_pass_collapse_matches_restart_reference(family):
-    _, facets = family
-    facets = _maximal_masks(facets)
-    core = _strong_collapse(facets)
-    reference = restart_strong_collapse(facets)
-    # strong-collapse cores are unique up to isomorphism
-    assert _union(core).bit_count() == _union(reference).bit_count()
-    assert sorted(f.bit_count() for f in core) == sorted(f.bit_count() for f in reference)
-    for p in (2, 3):
-        assert _union_homology(facets, p) == _chain_ranks(_faces_of_facets(reference), p)
-
-
 @pytest.fixture
 def face_builds(monkeypatch):
     """Records every facet list expanded into faces."""
     calls = []
     original = oracle._faces_of_facets
     monkeypatch.setattr(oracle, "_faces_of_facets",
-                        lambda facets: calls.append(facets) or original(facets))
-    return calls
-
-
-@pytest.fixture
-def collapses(monkeypatch):
-    """Records every facet list handed to the strong collapse."""
-    calls = []
-    original = oracle._strong_collapse
-    monkeypatch.setattr(oracle, "_strong_collapse",
                         lambda facets: calls.append(facets) or original(facets))
     return calls
 
@@ -734,13 +713,12 @@ def collapses(monkeypatch):
 ], ids=["point", "triangle-boundary", "point-and-16-simplex",
         "taylor-degree", "peel-then-two-points", "peel-to-empty-face", "peel-to-cone"])
 def test_complex_route_builds_no_faces_on_known_cores(
-        face_builds, collapses, text, degree, expected):
+        face_builds, text, degree, expected):
     ideal = parse_ideal(text)
     c = upper_koszul(ideal, mono(ideal, degree))
     for f in (GF2, GF3, GF5):
         assert reduced_homology_ranks(c, f) == expected
     assert face_builds == []
-    assert collapses == []
 
 
 @pytest.mark.parametrize("facets, expected", [
@@ -748,13 +726,12 @@ def test_complex_route_builds_no_faces_on_known_cores(
     ([0b10101, 0b11000, 0b1001, 0b110], {1: 1}),  # a circle with a triangle and an edge on it
 ], ids=["point", "circle"])
 def test_collapsed_cores_exit_without_faces(
-        face_builds, collapses, chain_bases, facets, expected):
+        face_builds, chain_bases, facets, expected):
     # every vertex is missed by two facets or more, so nothing is peeled, and
     # the four facets settle on their nerve with no strong collapse
     for p in (2, 3, 5):
         assert _union_homology(facets, p) == expected
     assert face_builds == []
-    assert collapses == []
     assert chain_bases == []
 
 
@@ -775,7 +752,6 @@ OCTAHEDRON = [(1 << a) | (1 << b) | (1 << c) for a in (0, 1) for b in (2, 3) for
 
 def test_octahedron_settles_by_element_matchings(face_builds, chain_bases):
     facets = OCTAHEDRON
-    assert sorted(_strong_collapse(facets)) == sorted(facets)
     for p in (2, 3):
         assert _union_homology(facets, p) == {2: 1}
     assert face_builds == []
@@ -787,7 +763,6 @@ def test_equal_sized_facets_off_a_simplex_boundary(face_builds):
     # that contain i: n facets of size n - 1, but on more than n vertices
     pairs = list(combinations(range(4), 2))
     facets = [sum(1 << k for k, pair in enumerate(pairs) if i in pair) for i in range(4)]
-    assert sorted(_strong_collapse(facets)) == sorted(facets)
     for p in (2, 3):
         assert _union_homology(facets, p) == {1: 3}
     assert face_builds == []
@@ -820,40 +795,49 @@ def morse_flows(monkeypatch):
 CYCLE17 = [1 << k | 1 << (k + 1) % 17 for k in range(17)]
 
 
-@pytest.mark.parametrize("facets, expected, full, bases, morse", [
-    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, [], False),
-    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, [], True),
-    (CYCLE17, {2: {1: 1}, 3: {1: 1}, 5: {1: 1}}, 35, [29] * 3, False),
+@pytest.fixture
+def matched_sides(monkeypatch):
+    """Records, for every core settled by element matchings, the side it was
+    matched on, ``"nerve"`` or ``"vertices"``, and the number of elements."""
+    sides = []
+    nerve, morse = oracle._nerve_homology, oracle._morse_homology
+
+    def on_nerve(facets, p):
+        ranks = nerve(facets, p)
+        sides[-1] = ("nerve", len(facets))  # the matchings it ran
+        return ranks
+
+    def on_morse(tops, n, p):
+        sides.append(("vertices", n))
+        return morse(tops, n, p)
+
+    monkeypatch.setattr(oracle, "_nerve_homology", on_nerve)
+    monkeypatch.setattr(oracle, "_morse_homology", on_morse)
+    return sides
+
+
+CYCLE17 = [1 << k | 1 << (k + 1) % 17 for k in range(17)]
+
+
+@pytest.mark.parametrize("facets, expected, full, side, morse", [
+    (OCTAHEDRON, {2: {2: 1}, 3: {2: 1}, 5: {2: 1}}, 27, ("vertices", 6), False),
+    (RP2, {2: {1: 1, 2: 1}, 3: {}, 5: {}}, 32, ("vertices", 6), True),
+    (CYCLE17, {2: {1: 1}, 3: {1: 1}, 5: {1: 1}}, 35, ("nerve", 17), False),
 ], ids=["octahedron", "rp2", "17-cycle"])
 def test_vertex_star_is_excised_before_the_ranks(
-        chain_bases, morse_flows, facets, expected, full, bases, morse):
-    # no core peels or collapses.  The octahedron and RP^2 have at most 16
-    # facets, so they are settled on their nerve: the octahedron by its
+        chain_bases, matched_sides, morse_flows, facets, expected, full, side, morse):
+    # no core peels, and none reaches the chain complex: each is matched on
+    # its smaller side.  The octahedron (8 facets on 6 vertices) and RP^2 (10
+    # on 6) are matched on their vertices, the octahedron settled by its
     # critical cells, RP^2, whose torsion leaves critical cells in dimensions
-    # 1 and 2, by the Morse differential.  The 17-cycle has more facets and
-    # too many vertices for the matchings, so only its faces outside the
-    # closed star of vertex 0, the first in the most facets, reach the
-    # boundary matrices
-    assert sorted(_strong_collapse(facets)) == sorted(facets)
+    # 1 and 2, by the Morse differential; the 17-cycle, with as many facets
+    # as vertices, is matched on its nerve
     assert sum(len(layer) for layer in _faces_of_facets(facets).values()) == full
     for p in (2, 3, 5):
         assert _union_homology(facets, p) == expected[p]
-    assert chain_bases == bases
-    assert all(b < full for b in bases)
+    assert matched_sides == [side] * 3
+    assert chain_bases == []
     assert bool(morse_flows) == morse
-
-
-@given(facet_families(max_vertices=9, max_facets=10))
-@settings(max_examples=300, deadline=None)
-def test_excising_any_vertex_star_keeps_the_ranks(family):
-    # the closed star of a vertex is a cone, so H~(K) = H(K, st v) for every v
-    _, facets = family
-    facets = _maximal_masks(facets)
-    layers = _faces_of_facets(facets)
-    for v in _bits(_union(facets)):
-        relative = _outside_star(facets, 1 << v)
-        for p in (2, 3, 5):
-            assert _chain_ranks(relative, p) == _chain_ranks(layers, p)
 
 
 @st.composite
@@ -914,7 +898,7 @@ def test_critical_cells_bound_the_ranks_and_keep_the_euler_characteristic(family
 ADJACENT = [0b010111, 0b111100, 0b100011, 0b011001, 0b001110]
 
 
-def test_adjacent_critical_cells_take_the_morse_differential(collapses, chain_bases, morse_flows):
+def test_adjacent_critical_cells_take_the_morse_differential(chain_bases, morse_flows):
     # every vertex but 5 lies in three facets, so the vertex matchings take
     # them in order, and the Morse differential cancels the pair
     order = list(range(6))
@@ -930,7 +914,6 @@ def test_adjacent_critical_cells_take_the_morse_differential(collapses, chain_ba
         for p in (2, 3, 5):
             assert _union_homology(facets, p) == {1: 1}
         assert bool(morse_flows) == morse
-    assert collapses == []
     assert chain_bases == []
 
 
@@ -1023,9 +1006,10 @@ def test_nerve_critical_cells_keep_the_morse_inequalities(facets):
             == sum((-1) ** (d % 2) * len(layer) for d, layer in layers.items()))
 
 
-# 16 facets on 11 vertices, none peeled or collapsed, found by a search for
-# long gradient paths: the nerve's critical cells lie in dimensions 2, 3 and
-# 4, and a boundary face of a critical 3-cell flows through 14 faces
+# 16 facets on 11 vertices, none peeled, found by a search for long
+# gradient paths: the nerve's critical cells lie in dimensions 2, 3 and 4,
+# and a boundary face of a critical 3-cell flows through 14 faces.  The
+# core itself is matched on its 11 vertices, so the tests take its nerve
 DEEP = [1890, 1827, 870, 455, 1611, 1197, 1776, 1938, 311, 1720, 922, 347, 1055, 413, 1182,
         159]
 
@@ -1043,12 +1027,12 @@ def _recursion_depth():
 def test_morse_flow_does_not_recurse(morse_flows):
     expected = {p: _chain_ranks(_faces_of_facets(DEEP), p) for p in (2, 3)}
     assert expected == {2: {2: 3, 3: 2}, 3: {2: 3, 3: 2}}
-    _union_homology(DEEP, 5)  # fills the cache of the 2^16-bit masks first
+    _nerve_homology(DEEP, 5)  # fills the cache of the 2^16-bit masks first
     # a flow that recursed once per face on its path would pass this limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)
     try:
-        ranks = {p: _union_homology(DEEP, p) for p in (2, 3)}
+        ranks = {p: _nerve_homology(DEEP, p) for p in (2, 3)}
     finally:
         sys.setrecursionlimit(limit)
     assert ranks == expected
@@ -1056,41 +1040,46 @@ def test_morse_flow_does_not_recurse(morse_flows):
 
 
 def test_face_masks_build_without_recursion():
-    # the first 16-facet core builds the 2^16-bit masks of _subsets_holding;
+    # the first 16-facet nerve builds the 2^16-bit masks of _subsets_holding;
     # built by recursion on the number of facets, they would pass this limit
     oracle._subsets_holding.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)
     try:
-        ranks = _union_homology(DEEP, 3)
+        ranks = _nerve_homology(DEEP, 3)
     finally:
         sys.setrecursionlimit(limit)
     assert ranks == {2: 3, 3: 2}
 
 
-@pytest.mark.parametrize("n", [16, 17])
-def test_cores_past_16_vertices_take_the_chain_complex(chain_bases, n):
-    # a cycle of n edges is its own core; the matchings take at most
-    # log2(MAX_COMPLEX_FACES) = 16 vertices
+@pytest.mark.parametrize("n", [16, 17, 20, 21])
+def test_cores_past_16_vertices_take_the_chain_complex(chain_bases, matched_sides, n):
+    # a cycle of n edges is its own core, with n facets on n vertices: it is
+    # matched on its nerve up to MAX_LATTICE_GENERATORS = 20 elements, and
+    # past that only the chain complex of its 2n + 1 faces is left
     facets = [1 << k | 1 << (k + 1) % n for k in range(n)]
     for p in (2, 3, 5):
         assert _union_homology(facets, p) == {1: 1}
-    assert len(chain_bases) == (0 if n <= 16 else 3)
+    if n <= MAX_LATTICE_GENERATORS:
+        assert (matched_sides, chain_bases) == ([("nerve", n)] * 3, [])
+    else:
+        assert (matched_sides, chain_bases) == ([], [2 * n + 1] * 3)
 
 
-def test_core_on_30_vertices_still_answers(chain_bases):
+def test_core_on_30_vertices_still_answers(chain_bases, matched_sides):
     # one triangle per node of the prism over a 10-cycle, a cubic graph, on
-    # the three edges at the node: 30 vertices and 111 faces.  Each vertex
-    # lies in two triangles, which meet nowhere else, so the union has the
-    # homotopy type of the graph: 30 - 20 + 1 = 11 independent cycles
+    # the three edges at the node: 20 facets on 30 vertices and 111 faces,
+    # matched on the nerve.  Each vertex lies in two triangles, which meet
+    # nowhere else, so the union has the homotopy type of the graph:
+    # 30 - 20 + 1 = 11 independent cycles
     edges = ([(k, (k + 1) % 10) for k in range(10)] + [(k, k + 10) for k in range(10)]
              + [(k + 10, (k + 1) % 10 + 10) for k in range(10)])
     facets = [sum(1 << e for e, edge in enumerate(edges) if node in edge) for node in range(20)]
     assert sum(len(layer) for layer in _faces_of_facets(facets).values()) == 111
-    assert sorted(_strong_collapse(facets)) == sorted(facets)
     for p in (2, 3):
         assert _union_homology(facets, p) == {1: 11}
-    assert len(chain_bases) == 2
+    assert matched_sides == [("nerve", 20)] * 2
+    assert chain_bases == []
 
 
 def cross_polytope(pairs):
@@ -1103,18 +1092,13 @@ def cross_polytope(pairs):
 
 
 def test_face_cap_is_met_outside_the_vertex_star():
-    # 3^10 faces, of which the facets missing a vertex have 2 * 3^9
+    # 2^10 facets on 20 vertices are matched on the vertices, with no face
+    # built; 2^11 facets on 22 vertices leave only the chain complex, whose
+    # 3^11 faces pass the cap
     for p in (2, 3):
         assert _union_homology(cross_polytope(10), p) == {9: 1}
-    # 2 * 3^10 faces of the facets missing a vertex pass the cap
     with pytest.raises(CapExceededError):
         _union_homology(cross_polytope(11), 2)
-
-
-def test_link_enumeration_is_capped():
-    # the facets missing the vertex have two faces, its link 2^17
-    with pytest.raises(CapExceededError):
-        _outside_star([(1 << 18) - 1, 1 << 18], 1)
 
 
 PRIMES = (2, 3, 5, 65521)
@@ -1127,17 +1111,6 @@ def test_clearing_matches_uncleared_reference_on_complexes(family):
     layers = _faces_of_facets(facets)
     for p in PRIMES:
         assert _chain_ranks(layers, p) == uncleared_chain_ranks(layers, p)
-
-
-@given(facet_families())
-@settings(max_examples=100, deadline=None)
-def test_clearing_matches_uncleared_reference_on_relative_complexes(family):
-    _, facets = family
-    facets = _maximal_masks(facets)
-    for v in _bits(_union(facets)):
-        relative = _outside_star(facets, 1 << v)
-        for p in PRIMES:
-            assert _chain_ranks(relative, p) == uncleared_chain_ranks(relative, p)
 
 
 @given(ideals(max_vars=8, max_gens=8))
@@ -1261,14 +1234,13 @@ class TestSettledDegrees:
 
 
 # RP^2 on vertices 0..5 beside a 10-cycle on vertices 6..15: 20 facets on 16
-# vertices, with no vertex peeled or collapsed
+# vertices, with no vertex peeled
 RP2_AND_CYCLE10 = RP2 + [1 << 6 + k | 1 << 6 + (k + 1) % 10 for k in range(10)]
 
 
 def test_vertex_side_takes_the_morse_differential(face_builds, chain_bases, morse_flows):
-    # more than 16 facets, so the core is matched on its 16 vertices; the
-    # torsion of RP^2 leaves critical cells in adjacent dimensions
-    assert sorted(_strong_collapse(RP2_AND_CYCLE10)) == sorted(RP2_AND_CYCLE10)
+    # more facets than vertices, so the core is matched on its 16 vertices;
+    # the torsion of RP^2 leaves critical cells in adjacent dimensions
     assert _union_homology(RP2_AND_CYCLE10, 2) == {0: 1, 1: 2, 2: 1}
     for p in (3, 5):
         assert _union_homology(RP2_AND_CYCLE10, p) == {0: 1, 1: 1}
@@ -1277,20 +1249,36 @@ def test_vertex_side_takes_the_morse_differential(face_builds, chain_bases, mors
     assert morse_flows
 
 
-def test_strong_collapse_hands_back_to_the_peel(face_builds, collapses, chain_bases):
+# RP^2 beside a 14-cycle on vertices 6..19: 24 facets on 20 vertices, as
+# many vertices as the matchings take
+RP2_AND_CYCLE14 = RP2 + [1 << 6 + k | 1 << 6 + (k + 1) % 14 for k in range(14)]
+
+
+def test_vertex_side_takes_20_vertices(face_builds, chain_bases, matched_sides, morse_flows):
+    assert _union_homology(RP2_AND_CYCLE14, 2) == {0: 1, 1: 2, 2: 1}
+    assert _union_homology(RP2_AND_CYCLE14, 3) == {0: 1, 1: 1}
+    assert len(morse_flows) == 2 * 7  # the critical cells' faces, per prime
+    assert matched_sides == [("vertices", 20)] * 2
+    assert face_builds == []
+    assert chain_bases == []
+
+
+def test_strong_collapse_hands_back_to_the_peel(face_builds, chain_bases, matched_sides):
     # the boundary of the 17-simplex on vertices 0..17, and beside each facet
     # missing i and i + 1 a vertex 18 + i of its own: no vertex is private,
-    # and deleting the 18 new vertices leaves the boundary, which the peel
-    # settles.  The facet opposite a vertex alone has 2^17 faces
+    # and with 36 facets on 36 vertices neither side fits the matchings.  Only
+    # the chain complex of all the faces is left, and the facet opposite a
+    # vertex alone has 2^17 faces, past the cap
     full = (1 << 18) - 1
     facets = _maximal_masks([full ^ 1 << i for i in range(18)]
                             + [(full ^ 1 << i ^ 1 << (i + 1) % 18) | 1 << (18 + i)
                                for i in range(18)])
-    assert len(facets) == 36
+    assert len(facets) == 36 == _union(facets).bit_count()
     for p in (2, 3):
-        assert _union_homology(facets, p) == {16: 1}
-    assert collapses == [facets] * 2  # once per prime, then the peel ends
-    assert face_builds == []
+        with pytest.raises(CapExceededError):
+            _union_homology(facets, p)
+    assert face_builds == [facets] * 2
+    assert matched_sides == []
     assert chain_bases == []
 
 
@@ -1310,6 +1298,7 @@ def wide_families(draw):
 
 @given(wide_families())
 @example(RP2_AND_CYCLE10)
+@example(RP2_AND_CYCLE14)
 @settings(max_examples=200, deadline=None)
 def test_cores_past_16_facets_match_chain_complex(facets):
     layers = _faces_of_facets(facets)
@@ -1317,19 +1306,42 @@ def test_cores_past_16_facets_match_chain_complex(facets):
         assert _union_homology(facets, p) == _chain_ranks(layers, p)
 
 
-def test_betti_table_past_16_facets_matches_hochster_formula(collapses):
+def test_betti_table_past_16_facets_matches_hochster_formula(matched_sides):
     # ideals of 17 to 20 generators of one size on 8 variables: the top degree
-    # has a facet per generator and no private vertex, so it reaches the collapse
+    # has a facet per generator and no private vertex, so it is matched on
+    # its 8 vertices
     rng = random.Random(17)
     alphabet = Alphabet(variable_names(8))
     for size in (3, 4, 3, 4):
         pool = [sum(1 << v for v in c) for c in combinations(range(8), size)]
         gens = rng.sample(pool, rng.randint(17, 20))
         ideal = MonomialIdeal(alphabet, tuple(sorted(gens, key=_support_key)))
-        collapses.clear()
+        matched_sides.clear()
         for p in (2, 3, 5):
             assert dict(betti_table(ideal, FieldSpec(p)).entries) == hochster_betti(ideal, p)
-        assert collapses
+        assert matched_sides.count(("vertices", 8)) >= 3
+
+
+@pytest.fixture(scope="module")
+def draws_at_the_cap():
+    return draws_at_the_lattice_cap()
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["gf2", "gf3"])
+def test_tables_at_the_lattice_cap_keep_the_euler_characteristic(draws_at_the_cap, field):
+    # every core of a 20-generator ideal has at most 20 facets, so every
+    # draw answers.  At each lattice degree b the alternating sum of the
+    # ranks is the lattice's signed count f(b), and the (reg, pd) scan
+    # agrees with the table
+    for ideal in draws_at_the_cap:
+        table = betti_table(ideal, field)
+        lattice = _lattice(ideal)
+        euler = dict.fromkeys(lattice, 0)
+        for (i, b), rank in table.entries.items():
+            if b:
+                euler[b] += -rank if i & 1 else rank
+        assert euler == {b: sign for b, (_, _, sign) in lattice.items()}
+        assert _extremes(ideal, field) == (table.regularity, table.projective_dimension)
 
 
 # the Stanley-Reisner ideal of RP2: all edges are faces, so the minimal
