@@ -214,17 +214,15 @@ def _taylor_squares_zero(ideal: MonomialIdeal) -> bool:
 
 def _koszul_spot(ideal: MonomialIdeal, table: oracle.BettiTable,
                  field: oracle.FieldSpec) -> bool:
-    """Cross-check one lattice degree through the public complex interface."""
+    """Cross-check the table at the lattice's maximum against the chain
+    complex of all the faces of its divisibility complex."""
     if len(ideal.alphabet) > _KOSZUL_SPOT_MAX_VARS:
         return True
     top = Monomial(ideal.alphabet, ideal.variables_used)  # the lattice's maximum
-    ranks = oracle.reduced_homology_ranks(
-        oracle.upper_koszul(ideal, top), field, precollapse=False)
-    for offset, rank in enumerate(ranks):
-        dim = offset - 1
-        if table.entries.get((dim + 2, top.mask), 0) != rank:
-            return False
-    return True
+    ranks = oracle._chain_ranks(
+        oracle.upper_koszul(ideal, top).faces_by_dim, field.characteristic)
+    return ({(d + 2, top.mask): r for d, r in ranks.items()}
+            == {key: r for key, r in table.entries.items() if key[1] == top.mask})
 
 
 def evaluate_entry(entry: CorpusEntry, primes: tuple[int, ...] = (2, 3)) -> list[CheckResult]:

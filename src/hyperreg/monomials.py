@@ -135,9 +135,6 @@ class Monomial:
     def support(self) -> tuple[str, ...]:
         return self.alphabet.names_of(self.mask)
 
-    def divides(self, other: "Monomial") -> bool:
-        return self.mask & ~other.mask == 0
-
     def __str__(self) -> str:
         return "*".join(self.support) if self.mask else "1"
 
@@ -196,15 +193,6 @@ class MonomialIdeal:
         for m in self.generator_masks:
             mask |= m
         return mask
-
-    def contains(self, m: Monomial) -> bool:
-        """Membership test for a square-free monomial: some generator divides it."""
-        if m.alphabet != self.alphabet:
-            raise ValueError("monomial over a different alphabet")
-        return any(g & ~m.mask == 0 for g in self.generator_masks)
-
-    def monomial(self, names: Iterable[str]) -> Monomial:
-        return Monomial.of(self.alphabet, names)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"

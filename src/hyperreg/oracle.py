@@ -65,7 +65,8 @@ most ``MAX_LATTICE_GENERATORS`` = 20 divisors, hence facets, so every core
 of :func:`betti_table` is matched on at most 20 elements, a 2^20-bit int.
 Only a complex given directly with more than 20 facets and more than 20
 vertices reaches the boundary matrices of all its faces, capped at 2^16
-faces; so does the raw no-peel path, which the tests cross-check.
+faces; so does :func:`_chain_ranks` over ``faces_by_dim``, the
+reference that the tests and the corpus's spot check compare against.
 
 The lcm lattice is built as a closure, one generator at a time, into one
 read-only map from each element to its level, divisors and signed count;
@@ -482,25 +483,18 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     return {d + shift: r for d, r in homology.items()}
 
 
-def reduced_homology_ranks(
-        complex_: SimplicialComplex, field: FieldSpec, precollapse: bool = True) -> list[int]:
+def reduced_homology_ranks(complex_: SimplicialComplex, field: FieldSpec) -> list[int]:
     """Ranks of reduced homology over GF(p), listed for dimensions -1..dim.
 
-    ``precollapse`` selects the peel-and-matchings route of
-    ``betti_table``: the complex is peeled (a known suspension of the same
-    homotopy type, so the ranks shift by a known amount), and the core is
-    settled by element matchings on its nerve or its own faces, whichever
-    side is smaller, and their Morse differential; a core with more than 20
-    of both takes the chain complex of its faces.  Without it the boundary
-    matrices of the complex are eliminated as given.
+    The route of ``betti_table``: the complex is peeled (a known suspension
+    of the same homotopy type, so the ranks shift by a known amount), and
+    the core is settled by element matchings on its nerve or its own faces,
+    whichever side is smaller, and their Morse differential; a core with
+    more than 20 of both takes the chain complex of its faces.
     """
     if complex_.is_void:
         return []
-    p = field.characteristic
-    if precollapse:
-        hom = _union_homology(list(complex_.facets), p)
-    else:
-        hom = _chain_ranks(complex_.faces_by_dim, p)
+    hom = _union_homology(list(complex_.facets), field.characteristic)
     return [hom.get(d, 0) for d in range(-1, complex_.dim + 1)]
 
 

@@ -25,8 +25,10 @@ from hyperreg.monomials import (
 from hyperreg.oracle import (
     BettiTable,
     CapExceededError,
+    FieldSpec,
     SimplicialComplex,
     TaylorComplex,
+    _chain_ranks,
     _subset_lcms,
 )
 from hyperreg.randgen import random_ideal, variable_names
@@ -244,6 +246,15 @@ def nerve_faces(facets: list[int]) -> set[int]:
         low = (s & -s).bit_length() - 1
         common.append(common[s & (s - 1)] & facets[low])
     return {s for s, meet in enumerate(common) if meet}
+
+
+def chain_complex_ranks(complex_: SimplicialComplex, field: FieldSpec) -> list[int]:
+    """Reference for ``reduced_homology_ranks``: the boundary matrices of all
+    the complex's faces, eliminated as given, with no peel and no matchings."""
+    if complex_.is_void:
+        return []
+    hom = _chain_ranks(complex_.faces_by_dim, field.characteristic)
+    return [hom.get(d, 0) for d in range(-1, complex_.dim + 1)]
 
 
 def faces(complex_: SimplicialComplex, dim: int) -> tuple[frozenset, ...]:

@@ -245,13 +245,32 @@ class TestRandom:
         assert sum(r["best_lower"] is not None for r in records) >= 10
 
     def test_infeasible_parameters(self, capsys):
+        # random_ideal's own rules, with their own messages
         assert cli.main(["random", "--vars", "3", "--gens", "9",
                          "--count", "1", "--seed", "1"]) == 1
         assert "antichain" in capsys.readouterr().err
+        assert cli.main(["random", "--vars", "0", "--gens", "1",
+                         "--count", "1", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: need at least one variable and one generator\n")
 
     def test_oracle_cap_exit_code(self, capsys):
-        assert cli.main(["random", "--vars", "15", "--gens", "4",
+        # the lattice's generator cap fires at instance 0, before any output
+        assert cli.main(["random", "--vars", "30", "--gens", "21",
                          "--count", "1", "--seed", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: lcm lattice capped at 20 generators\n"
+
+    def test_oracle_at_the_lattice_cap(self, capsys):
+        assert cli.main(["random", "--vars", "26", "--gens", "20", "--count", "3",
+                         "--seed", "5", "--field", "3", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(records) == 3
+        for r, ideal in zip(records, draws_at_the_lattice_cap()):
+            table = betti_table(ideal, GF3)
+            assert r["gens"] == [list(ideal.alphabet.names_of(g)) for g in ideal.generator_masks]
+            assert (r["reg"], r["pd"]) == (table.regularity, table.projective_dimension)
 
     def test_no_oracle_lifts_cap(self, capsys):
         assert cli.main(["random", "--vars", "15", "--gens", "4", "--count", "2",

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     _support_key,
     assert_support_key_order,
+    chain_complex_ranks,
     counting_union_homology,
     dense_boundary,
     dense_rank,
@@ -204,7 +205,7 @@ class TestSimplicialComplex:
         # one facet; the cap fires only where its 2^17 faces would be built
         c = SimplicialComplex.from_facets(range(17), [tuple(range(17))])
         for build_faces in (lambda: c.faces_by_dim, lambda: c.num_faces,
-                            lambda: reduced_homology_ranks(c, GF2, precollapse=False)):
+                            lambda: chain_complex_ranks(c, GF2)):
             with pytest.raises(CapExceededError):
                 build_faces()
         assert reduced_homology_ranks(c, GF2) == [0] * 18
@@ -247,7 +248,7 @@ class TestUpperKoszul:
             assert reduced_homology_ranks(c, f) == [0, 1] + [0] * 16 == [
                 entries.get((d + 2, top.mask), 0) for d in range(-1, 17)]
             with pytest.raises(CapExceededError):
-                reduced_homology_ranks(c, f, precollapse=False)
+                chain_complex_ranks(c, f)
 
 
 class TestHomologyConventions:
@@ -255,14 +256,14 @@ class TestHomologyConventions:
         c = SimplicialComplex.from_facets("ab", [("a",), ("b",)])
         for f in (GF2, GF3):
             assert reduced_homology_ranks(c, f) == [0, 1]
-            assert reduced_homology_ranks(c, f, precollapse=False) == [0, 1]
+            assert chain_complex_ranks(c, f) == [0, 1]
 
     def test_hollow_triangle_is_a_circle(self):
         c = SimplicialComplex.from_facets(
             "abc", [("a", "b"), ("a", "c"), ("b", "c")])
         for f in (GF2, GF3, GF5):
             assert reduced_homology_ranks(c, f) == [0, 0, 1]
-            assert reduced_homology_ranks(c, f, precollapse=False) == [0, 0, 1]
+            assert chain_complex_ranks(c, f) == [0, 0, 1]
 
     def test_empty_face_only_complex(self):
         c = SimplicialComplex((), [0])
@@ -650,8 +651,7 @@ def test_collapse_preserves_homology(family):
     named = [[v for v in vertices if f >> v & 1] for f in facets]
     c = SimplicialComplex.from_facets(vertices, named)
     for f in (GF2, GF3, GF5):
-        assert (reduced_homology_ranks(c, f, precollapse=True)
-                == reduced_homology_ranks(c, f, precollapse=False))
+        assert reduced_homology_ranks(c, f) == chain_complex_ranks(c, f)
 
 
 @given(ideals(max_vars=10, max_gens=8))
@@ -662,8 +662,8 @@ def test_complex_routes_match_betti_table(ideal):
         for b in lcm_lattice(ideal):
             c = upper_koszul(ideal, b)
             expected = [entries.get((d + 2, b.mask), 0) for d in range(-1, c.dim + 1)]
-            for precollapse in (True, False):
-                assert reduced_homology_ranks(c, f, precollapse) == expected
+            assert reduced_homology_ranks(c, f) == expected
+            assert chain_complex_ranks(c, f) == expected
 
 
 def _union(masks):
@@ -1167,7 +1167,7 @@ def test_sphere_boundaries_have_top_homology():
         expected = [0] * (k + 1)
         expected[k] = 1  # rank 1 in dimension k - 1, list starts at dim -1
         assert reduced_homology_ranks(c, GF2) == expected
-        assert reduced_homology_ranks(c, GF3, precollapse=False) == expected
+        assert chain_complex_ranks(c, GF3) == expected
 
 
 @pytest.fixture
