@@ -20,7 +20,7 @@ from .hypergraph import (
     has_isolated_simple_edges,
     is_saturated,
 )
-from .monomials import CapExceededError, MonomialIdeal, _bits
+from .monomials import CapExceededError, MonomialIdeal, _bits, _transpose
 
 MATCHING_CANDIDATE_CAP = 20
 TAYLOR_BOUND_GENERATORS = 20
@@ -72,17 +72,14 @@ def _taylor_bound(hypergraph: LabeledHypergraph, simples: list[int]) -> int:
     no closed vertex.  So the bound is |X| - #closed - tau(S).
 
     tau(S) is a set cover of S's edges by each open vertex's row, the edges
-    it meets.  The cap of TAYLOR_BOUND_GENERATORS is the lcm lattice's, so
-    the bound applies exactly where the lattice can give it; it also bounds
-    the search to 2^20 nodes.
+    it meets: the rows are the transpose of the simple edges.  The cap of
+    TAYLOR_BOUND_GENERATORS is the lcm lattice's, so the bound applies
+    exactly where the lattice can give it; it also bounds the search to
+    2^20 nodes.
     """
     if hypergraph.num_vertices > TAYLOR_BOUND_GENERATORS:
         raise CapExceededError(f"Taylor bound capped at {TAYLOR_BOUND_GENERATORS} generators")
-    rows = [0] * hypergraph.num_vertices
-    for i, e in enumerate(simples):
-        for k in _bits(e):
-            rows[k] |= 1 << i
-    rows = [r for r in rows if r]
+    rows = _transpose(simples)
     # all the rows, or one row per edge, is a cover
     tau = _cover_search(rows, (1 << len(simples)) - 1, 0, 0, min(len(rows), len(simples)))
     closed = hypergraph.num_vertices - hypergraph.open_mask.bit_count()

@@ -8,10 +8,12 @@ vertex count drives all the regularity formulas in :mod:`hyperreg.bounds`.
 A hypergraph is stored as its column masks: each label's image as a mask,
 bit k standing for the k-th smallest vertex.  The distinct masks are the
 edges, each with its number of labels; every predicate and bound reads them
-by bit operations.  :func:`build_hypergraph` transposes the generator masks
-into the columns, with no names in between.  The frozenset views
-``labels``, ``edges`` and ``edge_labels`` are built on first access and
-kept, for output and the corpus.
+by bit operations.  :func:`build_hypergraph` takes the columns as the
+transpose of the generator masks, by the ``_transpose`` of
+:mod:`hyperreg.monomials` that the Taylor bound and the oracle share, with
+no names in between.  The frozenset views ``labels``, ``edges`` and
+``edge_labels`` are built on first access and kept, for output and the
+corpus.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .monomials import Alphabet, Monomial, MonomialIdeal, _bits, _minimal_masks, minimalize
+from .monomials import (
+    Alphabet, Monomial, MonomialIdeal, _bits, _minimal_masks, _transpose, minimalize)
 
 
 class NotSeparatedError(ValueError):
@@ -121,18 +124,14 @@ class LabeledHypergraph:
 def build_hypergraph(ideal: MonomialIdeal) -> LabeledHypergraph:
     """Hypergraph of an ideal: vertex j for generator j, edge per variable.
 
-    The columns are the transpose of the generator masks, read in alphabet
-    order, which is name order, as the constructor keeps them.
+    The columns are the transpose of the generator masks: one per variable
+    some generator holds, in alphabet order, which is name order, as the
+    constructor keeps them.
     """
-    columns = [0] * len(ideal.alphabet)
-    for j, g in enumerate(ideal.generator_masks):
-        while g:
-            low = g & -g
-            columns[low.bit_length() - 1] |= 1 << j
-            g ^= low
     hypergraph = LabeledHypergraph.__new__(LabeledHypergraph)
     hypergraph._init(tuple(range(1, ideal.num_generators + 1)),
-                     {name: c for name, c in zip(ideal.alphabet.names, columns) if c})
+                     dict(zip(ideal.alphabet.names_of(ideal.variables_used),
+                              _transpose(ideal.generator_masks))))
     return hypergraph
 
 
@@ -141,17 +140,15 @@ def ideal_of(hypergraph: LabeledHypergraph, alphabet: Alphabet) -> MonomialIdeal
 
     Requires a separated hypergraph (this is what makes the generators
     minimal); otherwise raises :class:`NotSeparatedError` with a witness.
+    Separation also labels every vertex: an unlabeled one lies in no edge,
+    so every other vertex is in the meet of the edges through it, and a
+    lone vertex is in the nonempty image of some label.
     """
     witness = separation_witness(hypergraph)
     if witness is not None:
         raise NotSeparatedError(witness)
-    gens = []
-    for v in hypergraph.vertices:
-        names = hypergraph.vertex_labels(v)
-        if not names:
-            raise ValueError(f"vertex {v} carries no label; its generator would be 1")
-        gens.append(Monomial.of(alphabet, names))
-    return minimalize(gens)
+    return minimalize(Monomial.of(alphabet, hypergraph.vertex_labels(v))
+                      for v in hypergraph.vertices)
 
 
 def separation_witness(hypergraph: LabeledHypergraph) -> tuple[int, int] | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import compress, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 _TOKEN_RE = re.compile(r"\w+", re.ASCII)
 _FLIP = str.maketrans("01", "10")
@@ -93,6 +93,20 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transpose(masks: Sequence[int]) -> list[int]:
+    """The columns of the bit matrix whose rows are ``masks``: for each bit
+    set in some mask, from the lowest up, the mask of the positions i with
+    that bit in ``masks[i]``.  Bits that no mask holds give no column."""
+    columns = [0] * max(map(int.bit_length, masks), default=0)
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            columns[low.bit_length() - 1] |= bit
+            m ^= low
+    return [c for c in columns if c]
 
 
 def _canonical_key(mask: int) -> tuple[int, str]:

@@ -60,7 +60,8 @@ visits each face at most once, and its ranks are taken mod p, so torsion is
 exact.  The faces are one bit per element subset, and the elements are the
 core's smaller side: its facets, on its nerve, where vertex i is facet i
 and the faces are generated by the sets of facets holding each vertex of
-the union, or else its vertices, on its own faces.  A lattice degree has at
+the union, the transpose of the facet masks, or else its vertices, on its
+own faces, the transpose of those holder sets.  A lattice degree has at
 most ``MAX_LATTICE_GENERATORS`` = 20 divisors, hence facets, so every core
 of :func:`betti_table` is matched on at most 20 elements, a 2^20-bit int.
 Only a complex given directly with more than 20 facets and more than 20
@@ -84,7 +85,8 @@ from math import isqrt
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .monomials import Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _canonical_key
+from .monomials import (
+    Alphabet, CapExceededError, Monomial, MonomialIdeal, _bits, _canonical_key, _transpose)
 
 MAX_LATTICE_GENERATORS = 20
 MAX_TAYLOR_GENERATORS = 16
@@ -216,8 +218,9 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _face_set(facets: Iterable[int]) -> set[int]:
-    """Every face of the given facets, as masks, capped at ``MAX_COMPLEX_FACES``."""
+def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Every face of the given facets, as sorted masks keyed by dimension,
+    capped at ``MAX_COMPLEX_FACES``."""
     faces: set[int] = set()
     for f in facets:
         sub = f
@@ -228,13 +231,8 @@ def _face_set(facets: Iterable[int]) -> set[int]:
             if sub == 0:
                 break
             sub = (sub - 1) & f
-    return faces
-
-
-def _faces_of_facets(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Every face of the given facets, as sorted masks keyed by dimension."""
     grouped: dict[int, list[int]] = {}
-    for m in _face_set(facets):
+    for m in faces:
         grouped.setdefault(m.bit_count() - 1, []).append(m)
     return {d: tuple(sorted(layer)) for d, layer in sorted(grouped.items())}
 
@@ -352,22 +350,6 @@ def _morse_homology(tops: Iterable[int], n: int, p: int) -> dict[int, int]:
     return homology
 
 
-def _nerve_homology(facets: list[int], p: int) -> dict[int, int]:
-    """Reduced homology ranks over GF(p) of the union of the given full
-    simplices, taken on the nerve of the facets by :func:`_morse_homology`.
-
-    Vertex i of the nerve is facets[i], and its faces are generated by the
-    sets of facets holding each vertex of the union.
-    """
-    holders: dict[int, int] = {}  # vertex bit: the facets holding it
-    for i, f in enumerate(facets):
-        while f:
-            low = f & -f
-            f ^= low
-            holders[low] = holders.get(low, 0) | 1 << i
-    return _morse_homology(holders.values(), len(facets), p)
-
-
 def _chain_ranks(layers: Mapping[int, Sequence[int]], p: int) -> dict[int, int]:
     """Homology ranks over GF(p) of the chain complex with basis ``layers[d]``.
 
@@ -435,14 +417,16 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
     complex whose only face is empty.
 
     Past the peel, the core of m facets on n vertices is settled by element
-    matchings on its smaller side, which the lattice's generator cap bounds:
-    on its nerve by :func:`_nerve_homology`, with the facets in the order the
-    peel leaves them, when m <= n and m <= ``MAX_LATTICE_GENERATORS``;
-    otherwise, when n <= ``MAX_LATTICE_GENERATORS``, by
-    :func:`_morse_homology` on its own faces, with the vertices by falling
-    facet count, the lowest on a tie.  A lattice degree has at most that
-    many divisors, hence facets, so only a complex given directly can have
-    both sides larger; it goes through the chain complex of all its faces.
+    matchings on its smaller side, which the lattice's generator cap bounds.
+    Both sides come from one incidence transpose: the holders, for each
+    vertex the set of facets holding it, ordered by falling facet count,
+    the lowest vertex on a tie.  When m <= n and m <= ``MAX_LATTICE_GENERATORS``
+    the holders generate the nerve, whose vertex i is facet i, in the order
+    the peel leaves them; otherwise, when n <= ``MAX_LATTICE_GENERATORS``,
+    their transpose is the facets on the vertices in the holders' order.
+    A lattice degree has at most that many divisors, hence facets, so only
+    a complex given directly can have both sides larger; it goes through
+    the chain complex of all its faces.
     """
     shift = 0
     while True:
@@ -471,13 +455,12 @@ def _union_homology(facets: list[int], p: int) -> dict[int, int]:
         if not meet:
             return {} if rest else {shift - 2: 1}
         facets = _maximal_masks([f & meet for f in rest])
-    n = union.bit_count()
+    holders = sorted(_transpose(facets), key=int.bit_count, reverse=True)
+    n = len(holders)
     if len(facets) <= min(n, MAX_LATTICE_GENERATORS):
-        homology = _nerve_homology(facets, p)
+        homology = _morse_homology(holders, len(facets), p)
     elif n <= MAX_LATTICE_GENERATORS:
-        order = sorted(_bits(union), key=lambda v: sum(f >> v & 1 for f in facets), reverse=True)
-        homology = _morse_homology(
-            (sum((f >> v & 1) << j for j, v in enumerate(order)) for f in facets), n, p)
+        homology = _morse_homology(_transpose(holders), n, p)
     else:
         homology = _chain_ranks(_faces_of_facets(facets), p)
     return {d + shift: r for d, r in homology.items()}

@@ -19,6 +19,7 @@ from hyperreg.monomials import (
     UnitIdealError,
     _bits,
     _minimal_masks,
+    _transpose,
     minimalize,
     parse_ideal,
 )
@@ -238,6 +239,14 @@ def hochster_betti(ideal: MonomialIdeal, p: int) -> dict[tuple[int, int], int]:
     return table
 
 
+def reference_transpose(masks: list[int]) -> list[int]:
+    """Reference for ``_transpose``: for each bit up to the widest mask, the
+    positions of the masks holding it, zero columns dropped."""
+    width = max((m.bit_length() for m in masks), default=0)
+    columns = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(width)]
+    return [c for c in columns if c]
+
+
 def nerve_faces(facets: list[int]) -> set[int]:
     """Reference nerve: the subsets of the facets' positions, as masks, whose
     facets share a vertex, and the empty subset."""
@@ -246,6 +255,14 @@ def nerve_faces(facets: list[int]) -> set[int]:
         low = (s & -s).bit_length() - 1
         common.append(common[s & (s - 1)] & facets[low])
     return {s for s, meet in enumerate(common) if meet}
+
+
+def nerve_homology(facets: list[int], p: int) -> dict[int, int]:
+    """Reduced homology ranks over GF(p) of the union of the given full
+    simplices, matched on the nerve of the facets whatever the peel and the
+    smaller side would choose: vertex i of the nerve is facets[i], and the
+    sets of facets holding each vertex generate its faces."""
+    return oracle._morse_homology(_transpose(facets), len(facets), p)
 
 
 def chain_complex_ranks(complex_: SimplicialComplex, field: FieldSpec) -> list[int]:

@@ -42,7 +42,7 @@ from hyperreg.hypergraph import (
     simple_edges,
     to_json_dict,
 )
-from hyperreg.monomials import parse_ideal
+from hyperreg.monomials import Alphabet, parse_ideal
 from hyperreg.randgen import max_antichain, random_ideal
 
 
@@ -134,6 +134,12 @@ class TestIdealOf:
         with pytest.raises(NotSeparatedError) as exc:
             ideal_of(h, ideal.alphabet)
         assert exc.value.witness == (1, 2)
+        # an unlabeled vertex lies in no edge, so the meet of the edges
+        # through it holds every other vertex
+        h = LabeledHypergraph([1, 2], {"a": [1]})
+        with pytest.raises(NotSeparatedError) as exc:
+            ideal_of(h, Alphabet(("a",)))
+        assert exc.value.witness == (2, 1)
 
 
 class TestSeparation:

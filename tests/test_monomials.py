@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -10,6 +10,7 @@ from helpers import (
     brute_force_dual,
     reference_generator_check,
     reference_parse,
+    reference_transpose,
     word_ideal,
 )
 from hyperreg import oracle
@@ -21,8 +22,10 @@ from hyperreg.monomials import (
     Monomial,
     MonomialIdeal,
     UnitIdealError,
+    _bits,
     _canonical_key,
     _minimal_masks,
+    _transpose,
     add_generator,
     alexander_dual,
     colon_by_monomial,
@@ -363,3 +366,31 @@ def mask_lists(draw):
 @settings(max_examples=300, deadline=None)
 def test_canonical_key_sorts_like_the_support_key(masks):
     assert sorted(masks, key=_canonical_key) == sorted(masks, key=_support_key)
+
+
+# masks over up to 40 bits, zero and single bits among them
+row_lists = st.lists(st.one_of(st.just(0), st.integers(0, (1 << 40) - 1),
+                               st.integers(0, 39).map(lambda k: 1 << k)), max_size=20)
+
+
+@given(row_lists)
+@example([])
+@example([0])
+@example([0, 0b101, 0, 0b100])
+@settings(max_examples=200, deadline=None)
+def test_transpose_matches_the_double_loop(masks):
+    assert _transpose(masks) == reference_transpose(masks)
+
+
+@given(row_lists)
+@settings(max_examples=200, deadline=None)
+def test_transpose_twice_compresses_onto_the_union(masks):
+    # with no zero mask every row has a column, so it comes back, on the
+    # bits of the union renumbered from 0
+    masks = [m for m in masks if m]
+    union = 0
+    for m in masks:
+        union |= m
+    used = list(_bits(union))
+    compressed = [sum(1 << j for j, k in enumerate(used) if m >> k & 1) for m in masks]
+    assert _transpose(_transpose(masks)) == compressed

@@ -27,6 +27,7 @@ from helpers import (
     hochster_betti,
     ideals,
     nerve_faces,
+    nerve_homology,
     subset_scan_levels,
     subset_scan_strands,
     taylor_rank,
@@ -39,7 +40,7 @@ from hyperreg.bounds import TAYLOR_BOUND_GENERATORS, taylor_regularity_bound
 from hyperreg.corpus import CORPUS
 from hyperreg.hypergraph import build_hypergraph, is_saturated
 from hyperreg.monomials import (
-    Alphabet, Monomial, MonomialIdeal, _bits, alexander_dual, parse_ideal)
+    Alphabet, Monomial, MonomialIdeal, _bits, _transpose, alexander_dual, parse_ideal)
 from hyperreg.oracle import (
     GF2,
     GF3,
@@ -56,7 +57,6 @@ from hyperreg.oracle import (
     _lattice,
     _maximal_masks,
     _morse_homology,
-    _nerve_homology,
     _rank_sparse,
     _subset_lcms,
     _union_homology,
@@ -798,20 +798,24 @@ CYCLE17 = [1 << k | 1 << (k + 1) % 17 for k in range(17)]
 @pytest.fixture
 def matched_sides(monkeypatch):
     """Records, for every core settled by element matchings, the side it was
-    matched on, ``"nerve"`` or ``"vertices"``, and the number of elements."""
-    sides = []
-    nerve, morse = oracle._nerve_homology, oracle._morse_homology
+    matched on, ``"nerve"`` or ``"vertices"``, and the number of elements.
 
-    def on_nerve(facets, p):
-        ranks = nerve(facets, p)
-        sides[-1] = ("nerve", len(facets))  # the matchings it ran
-        return ranks
+    A core transposes its facets into the sets of facets holding each
+    vertex, which generate the nerve; the vertex side hands the matchings
+    the transpose of those, so its tops are the latest transpose itself."""
+    sides = []
+    latest = [None]
+    transpose, morse = oracle._transpose, oracle._morse_homology
+
+    def on_transpose(masks):
+        latest[0] = transpose(masks)
+        return latest[0]
 
     def on_morse(tops, n, p):
-        sides.append(("vertices", n))
+        sides.append(("vertices" if tops is latest[0] else "nerve", n))
         return morse(tops, n, p)
 
-    monkeypatch.setattr(oracle, "_nerve_homology", on_nerve)
+    monkeypatch.setattr(oracle, "_transpose", on_transpose)
     monkeypatch.setattr(oracle, "_morse_homology", on_morse)
     return sides
 
@@ -959,12 +963,16 @@ def nerve_examples(test):
 @settings(max_examples=300, deadline=None)
 def test_nerve_route_matches_chain_complex(facets):
     # the peel hands the nerve what it leaves, and the nerve is also run on
-    # the whole antichain, so cores with private vertices reach it too
+    # the whole antichain, so cores with private vertices reach it too; so
+    # is the vertex side, the transpose of the holders in the route's order,
+    # since no family here has more than 20 vertices
     layers = _faces_of_facets(facets)
+    holders = sorted(_transpose(facets), key=int.bit_count, reverse=True)
     for p in PRIMES:
         expected = _chain_ranks(layers, p)
         assert _union_homology(facets, p) == expected
-        assert _nerve_homology(facets, p) == expected
+        assert nerve_homology(facets, p) == expected
+        assert _morse_homology(_transpose(holders), len(holders), p) == expected
 
 
 @given(nerve_families())
@@ -975,7 +983,7 @@ def test_nerve_bitmap_holds_the_nerve_faces(facets):
     # faces, each once; the matching for j pairs a face missing j with its
     # union with j
     with recorded("_element_matchings") as calls:
-        _nerve_homology(facets, 2)
+        nerve_homology(facets, 2)
     [((_, n), (critical, steps))] = calls
     assert n == len(facets) == len(steps)
     faces = [critical]
@@ -990,7 +998,7 @@ def test_nerve_bitmap_holds_the_nerve_faces(facets):
 @settings(max_examples=200, deadline=None)
 def test_nerve_critical_cells_keep_the_morse_inequalities(facets):
     with recorded("_element_matchings") as calls:
-        _nerve_homology(facets, 2)
+        nerve_homology(facets, 2)
     [(_, (critical, _))] = calls
     cells = Counter(s.bit_count() - 1 for s in _bits(critical))
     layers = _faces_of_facets(facets)
@@ -1027,12 +1035,12 @@ def _recursion_depth():
 def test_morse_flow_does_not_recurse(morse_flows):
     expected = {p: _chain_ranks(_faces_of_facets(DEEP), p) for p in (2, 3)}
     assert expected == {2: {2: 3, 3: 2}, 3: {2: 3, 3: 2}}
-    _nerve_homology(DEEP, 5)  # fills the cache of the 2^16-bit masks first
+    nerve_homology(DEEP, 5)  # fills the cache of the 2^16-bit masks first
     # a flow that recursed once per face on its path would pass this limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)
     try:
-        ranks = {p: _nerve_homology(DEEP, p) for p in (2, 3)}
+        ranks = {p: nerve_homology(DEEP, p) for p in (2, 3)}
     finally:
         sys.setrecursionlimit(limit)
     assert ranks == expected
@@ -1046,7 +1054,7 @@ def test_face_masks_build_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_recursion_depth() + 10)
     try:
-        ranks = _nerve_homology(DEEP, 3)
+        ranks = nerve_homology(DEEP, 3)
     finally:
         sys.setrecursionlimit(limit)
     assert ranks == {2: 3, 3: 2}
@@ -1247,6 +1255,18 @@ def test_vertex_side_takes_the_morse_differential(face_builds, chain_bases, mors
     assert face_builds == []
     assert chain_bases == []
     assert morse_flows
+
+
+def test_vertex_side_takes_vertices_by_falling_facet_count():
+    # the 10-cycle on vertices 0..9 and RP^2 on 10..15: the matchings take
+    # RP^2's vertices, each in 5 facets, first, from the lowest up, then the
+    # cycle's, each in 2
+    facets = [1 << k | 1 << (k + 1) % 10 for k in range(10)] + [f << 10 for f in RP2]
+    with recorded("_element_matchings") as calls:
+        assert _union_homology(facets, 2) == {0: 1, 1: 2, 2: 1}
+    [((tops, n), _)] = calls
+    order = [*range(10, 16), *range(10)]
+    assert (n, sorted(tops)) == (16, sorted(local_tops(facets, order)))
 
 
 # RP^2 beside a 14-cycle on vertices 6..19: 24 facets on 20 vertices, as
